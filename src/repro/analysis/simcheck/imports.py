@@ -1,7 +1,10 @@
-"""Import-graph layering and cycle checks (CHECK050-052).
+"""Import-graph cycle and rank-table checks (CHECK050-051).
 
-simlint's SIM005 judges each import statement in isolation; this pass
-rebuilds the *whole-program* module graph and cross-validates it:
+simlint's SIM005 judges each import statement in isolation, and it
+alone judges layering: it walks every import, including deferred ones
+inside function bodies, while this pass's graph holds top-level
+imports only.  This pass rebuilds the *whole-program* module graph for
+what no single statement shows:
 
 * **CHECK050** — an import cycle among project modules.  Python
   tolerates many cycles at runtime (late imports), so nothing else
@@ -10,9 +13,6 @@ rebuilds the *whole-program* module graph and cross-validates it:
 * **CHECK051** — a ``repro.<package>`` that SIM005's rank table does
   not know about.  A new package slots into the layering explicitly or
   not at all (otherwise SIM005 silently skips every edge touching it).
-* **CHECK052** — a package-level layering violation recomputed from
-  the aggregated graph.  Agreeing with SIM005 is the point: if the two
-  ever disagree, one of them has a resolution bug.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.analysis.simcheck.model import ProjectModel
 
 CHECK_CYCLE = "CHECK050"
 CHECK_UNRANKED = "CHECK051"
-CHECK_LAYERING = "CHECK052"
 
 
 def _package_of(module: str) -> str:
@@ -66,7 +65,6 @@ def imports_pass(model: ProjectModel):
     graph = import_graph(model)
     yield from _cycles(model, graph)
     yield from _unranked(model)
-    yield from _layering(model, graph)
 
 
 def _cycles(model: ProjectModel, graph: dict):
@@ -158,24 +156,3 @@ def _unranked(model: ProjectModel):
                 f"layering table — add it to "
                 f"repro.analysis.rules.LayeringRule.RANKS")
 
-
-def _layering(model: ProjectModel, graph: dict):
-    """Rank violations on the aggregated package graph."""
-    ranks = LayeringRule.RANKS
-    for module in sorted(graph):
-        own = _package_of(module)
-        own_rank = ranks.get(own)
-        if own_rank is None:
-            continue
-        summary = model.summary_for(module)
-        for target, lineno in graph[module]:
-            other = _package_of(target)
-            other_rank = ranks.get(other)
-            if other_rank is None or other_rank <= own_rank:
-                continue
-            yield Finding(
-                summary.path, lineno, 0, CHECK_LAYERING,
-                SEVERITY_ERROR,
-                f"whole-program layering violation: repro.{own} "
-                f"(rank {own_rank}) depends on repro.{other} "
-                f"(rank {other_rank}) — SIM005 cross-check")

@@ -22,7 +22,7 @@ Commands:
 * ``lint``      — run simlint (repro.analysis) over the source tree.
 * ``check``     — run simcheck, the whole-program static analysis
   (call-graph determinism taint, process discipline, race candidates,
-  FSM spec checking, import layering).
+  FSM spec checking, import cycles).
 * ``info``      — the calibrated testbed constants.
 
 ``deploy`` and ``scaleout`` accept ``--sanitize`` to run with every
@@ -75,8 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="prefetch the boot working set (BMcast)")
     deploy.add_argument("--wait", action="store_true",
                         help="wait for deployment to finish (BMcast)")
-    deploy.add_argument("--trace", action="store_true",
-                        help="record and print the VMM's event trace")
     deploy.add_argument("--metrics-out", metavar="FILE",
                         help="export telemetry (JSON, or Prometheus "
                         "text if FILE ends in .prom)")
@@ -348,8 +346,6 @@ def cmd_deploy(args, print_summary: bool = False) -> int:
     options = {}
     if getattr(args, "prefetch", False) and args.method == "bmcast":
         options["prefetch_lbas"] = testbed.image.boot_lbas()
-    if getattr(args, "trace", False) and args.method == "bmcast":
-        options["trace"] = True
     suite = None
     if getattr(args, "sanitize", False):
         if args.method != "bmcast":
@@ -384,10 +380,6 @@ def cmd_deploy(args, print_summary: bool = False) -> int:
               f"phase={platform.phase}")
         for key, value in platform.summary().items():
             print(f"  {key}: {value}")
-    if getattr(args, "trace", False) and platform is not None \
-            and hasattr(platform, "tracer"):
-        print("\nlast trace events:")
-        print(platform.tracer.dump(limit=20))
     if print_summary and telemetry.enabled:
         print()
         print(telemetry.summary())

@@ -371,7 +371,7 @@ class NodePool:
             # Mid-deployment shrink: the VMM's own graceful-shutdown
             # path stops the copier, persists the bitmap, and tears the
             # virtualization down (memory released, CPUs VMXOFF).
-            pristine = vmm.pristine_blocks()
+            pristine = vmm.taint.pristine_blocks()
             yield from vmm.shutdown()
             return pristine
         while vmm.phase == "devirtualization":
@@ -382,7 +382,7 @@ class NodePool:
             raise LifecycleError(
                 f"node {record.index}: cannot drain from VMM phase "
                 f"{vmm.phase!r}")
-        pristine = vmm.pristine_blocks()
+        pristine = vmm.taint.pristine_blocks()
         yield from self._power_cycle_into_control(record)
         return pristine
 

@@ -15,6 +15,10 @@ extra frames; it is batched every :data:`PeerChunkService.ANNOUNCE_BLOCKS`
 block fills.  Summaries only ever *add* blocks, so a stale entry is
 safe: at worst a request hits a peer whose block was just tainted by a
 guest write, and the NAK path corrects the directory.
+
+The service keeps no provenance of its own: it reads the VMM's
+:class:`~repro.vmm.bitmap.WriteTaint`, so the set a peer advertises is
+the set the reclaim path preserves.
 """
 
 from __future__ import annotations
@@ -141,24 +145,16 @@ class PeerChunkService(AoeServer):
     #: Publish a summary update every this many newly filled blocks.
     ANNOUNCE_BLOCKS = 8
 
-    def __init__(self, env, nic, disk, bitmap,
+    def __init__(self, env, nic, disk, taint,
                  directory: PeerDirectory,
                  workers: int = 2, telemetry=NULL_TELEMETRY):
         super().__init__(env, nic, LocalChunkStore(env, disk),
                          workers=workers, telemetry=telemetry)
-        self.bitmap = bitmap
+        #: The VMM's write-taint tracker (owns the pristine set).
+        self.taint = taint
+        self.bitmap = taint.bitmap
         self.directory = directory
-        #: Blocks a guest write has touched — never servable again.
-        self.tainted: set[int] = set()
         self._unannounced = 0
-        #: After de-virtualization the mediator is gone, so *every*
-        #: image-range disk write is the guest's (set by the VMM).
-        self.direct_io = False
-        # Two provenance signals, because the disk cannot tell who
-        # programmed its controller: the bitmap reports mediated guest
-        # writes, the raw disk observer covers the post-devirt era.
-        bitmap.guest_write_listeners.append(self._on_guest_write)
-        disk.write_observers.append(self._on_disk_write)
         # Metrics.
         self.chunks_served = 0
         self.naks_sent = 0
@@ -174,25 +170,18 @@ class PeerChunkService(AoeServer):
 
     def servable(self, lba: int, sector_count: int) -> bool:
         """True when the whole range is pristine, copier-filled data."""
+        tainted = self.taint.tainted
         for block in self.bitmap.blocks_overlapping(lba, sector_count):
-            if block in self.tainted or not self.bitmap.is_filled(block):
+            if block in tainted or not self.bitmap.is_filled(block):
                 return False
         return True
-
-    def summary(self) -> set[int]:
-        """Pristine filled copy-block indexes — the gossip payload."""
-        return {
-            block
-            for start, end, value in self.bitmap.filled_runs()
-            for block in range(start, end)
-            if block not in self.tainted
-        }
 
     # -- gossip -------------------------------------------------------------------
 
     def publish(self) -> None:
         """Push the current summary to the directory now."""
-        self.directory.publish(self.nic.name, self.summary())
+        self.directory.publish(self.nic.name,
+                               self.taint.pristine_blocks())
         self._unannounced = 0
 
     def note_block_filled(self, block: int) -> None:
@@ -205,23 +194,6 @@ class PeerChunkService(AoeServer):
         if self._unannounced >= self.ANNOUNCE_BLOCKS \
                 or self.bitmap.complete:
             self.publish()
-
-    def mark_direct_io(self) -> None:
-        """The node de-virtualized: disk writes are now all guest I/O."""
-        self.direct_io = True
-
-    def _taint(self, lba: int, sector_count: int) -> None:
-        if lba >= self.bitmap.image_sectors:
-            return  # bitmap-save region, not image data
-        for block in self.bitmap.blocks_overlapping(lba, sector_count):
-            self.tainted.add(block)
-
-    def _on_guest_write(self, lba: int, sector_count: int) -> None:
-        self._taint(lba, sector_count)
-
-    def _on_disk_write(self, request) -> None:
-        if self.direct_io:
-            self._taint(request.lba, request.sector_count)
 
     def stop(self) -> None:
         self.directory.withdraw(self.nic.name)
@@ -237,7 +209,7 @@ class PeerChunkService(AoeServer):
         for nothing.  The node has no mediator anymore, so every
         subsequent disk write is direct I/O.
         """
-        self.direct_io = True
+        self.taint.direct_io = True
         self.start()
         self.publish()
 

@@ -1,8 +1,6 @@
 """Metric collection and plain-text reporting."""
 
-from repro.metrics.eventlog import NULL_LOG, EventLog, TraceRecord
 from repro.metrics.report import format_ratio, format_table
 from repro.metrics.timeseries import TimeSeries
 
-__all__ = ["EventLog", "NULL_LOG", "TimeSeries", "TraceRecord",
-           "format_ratio", "format_table"]
+__all__ = ["TimeSeries", "format_ratio", "format_table"]

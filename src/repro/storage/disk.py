@@ -44,9 +44,9 @@ class Disk:
 
         #: Sector tokens currently on the platters.
         self.contents = IntervalMap()
-        #: Called with each completed WRITE request — the peer chunk
-        #: service subscribes to learn when guest writes taint blocks
-        #: it advertised as pristine image data.
+        #: Called with each completed WRITE request — the VMM's write
+        #: taint tracker subscribes to learn when post-devirt guest
+        #: writes taint pristine image blocks.
         self.write_observers: list = []
         #: The single actuator: requests serialize here.
         self.arm = Resource(env, capacity=1)

@@ -72,7 +72,7 @@ class BlockBitmap:
         #: Sector ranges the guest wrote inside non-FILLED blocks.
         self.dirty = IntervalMap()
         #: Called with ``(lba, sector_count)`` on every recorded guest
-        #: write — the provenance signal peer chunk services taint on
+        #: write — the provenance signal :class:`WriteTaint` taints on
         #: (the disk itself cannot tell who programmed the controller).
         self.guest_write_listeners: list = []
         #: Called with ``(event, block, **details)`` on every state
@@ -357,3 +357,42 @@ class BlockBitmap:
             self._filled.set_range(start, end - start, value)
         for start, end, value in snapshot["dirty"]:
             self.dirty.set_range(start, end - start, value)
+
+
+class WriteTaint:
+    """Which copy blocks a guest write has touched (image provenance).
+
+    A tainted block's disk content no longer equals the image, so it
+    is never advertised to peers nor preserved by a warm reclaim.  The
+    disk cannot tell who programmed its controller, so two signals
+    feed the set: the bitmap reports mediated guest writes, and once
+    ``direct_io`` is set (de-virtualization, or a warm-source restart
+    with no mediator left) every raw image-range disk write is the
+    guest's.
+    """
+
+    def __init__(self, bitmap: BlockBitmap, disk):
+        self.bitmap = bitmap
+        self.tainted: set[int] = set()
+        self.direct_io = False
+        bitmap.guest_write_listeners.append(self._taint)
+        disk.write_observers.append(self._on_disk_write)
+
+    def _taint(self, lba: int, sector_count: int) -> None:
+        if lba >= self.bitmap.image_sectors:
+            return  # bitmap-save region, not image data
+        self.tainted.update(self.bitmap.blocks_overlapping(lba, sector_count))
+
+    def _on_disk_write(self, request) -> None:
+        if self.direct_io:
+            self._taint(request.lba, request.sector_count)
+
+    def pristine_blocks(self) -> set[int]:
+        """FILLED copy blocks whose disk content still equals the image:
+        the peer gossip payload and the warm-reclaim preserve set."""
+        return {
+            block
+            for start, end, _ in self.bitmap.filled_runs()
+            for block in range(start, end)
+            if block not in self.tainted
+        }

@@ -20,10 +20,9 @@ from repro import params
 from repro.aoe.client import AoeInitiator
 from repro.hw.cpu import ExitReason
 from repro.hw.platform import PlatformCondition
-from repro.metrics.eventlog import NULL_LOG, EventLog
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sim import Environment
-from repro.vmm.bitmap import BlockBitmap
+from repro.vmm.bitmap import BlockBitmap, WriteTaint
 from repro.vmm.copier import BackgroundCopier
 from repro.vmm.deploy import DeploymentContext
 from repro.vmm.devirt import Devirtualizer
@@ -66,7 +65,6 @@ class BmcastVmm:
                  release_memory: bool = False,
                  prefetch_lbas=None,
                  extra_mediators=(),
-                 trace: bool = False,
                  fabric=None,
                  peer_nic=None,
                  fluid: bool = False,
@@ -111,14 +109,15 @@ class BmcastVmm:
                                       poll_interval=poll_interval,
                                       telemetry=telemetry, **rto_kwargs)
         self.bitmap = BlockBitmap(image_sectors)
-        #: Structured event log (opt-in; see repro.metrics.eventlog).
-        self.tracer = EventLog(env) if trace else NULL_LOG
+        #: Copy blocks a guest write has touched.  The one owner of
+        #: image provenance: the peer service advertises, and the
+        #: reclaim path (repro.ctl) preserves, ``pristine_blocks()``.
+        self.taint = WriteTaint(self.bitmap, machine.disk_controller.disk)
         self.deployment = DeploymentContext(
             env, self.bitmap, self.initiator,
             poll_interval=poll_interval,
             protected_lba=image_sectors + 8,
             protected_sectors=64,
-            tracer=self.tracer,
             telemetry=telemetry,
         )
         #: Distribution fabric (repro.dist): route fetches through a
@@ -136,21 +135,9 @@ class BmcastVmm:
                 from repro.dist.peer import PeerChunkService
                 self.peer_service = PeerChunkService(
                     env, peer_nic, machine.disk_controller.disk,
-                    self.bitmap, fabric.directory, telemetry=telemetry)
+                    self.taint, fabric.directory, telemetry=telemetry)
                 self.deployment.block_filled_listeners.append(
                     self.peer_service.note_block_filled)
-        #: Copy blocks a guest write has touched: their on-disk content
-        #: no longer matches the image.  Mirrors the peer service's
-        #: taint signals but is always on, so the reclaim path
-        #: (repro.ctl) can compute the warm/preserve set on non-p2p
-        #: testbeds too.  Pre-devirt writes arrive mediated (bitmap
-        #: listener); post-devirt direct I/O arrives via the disk
-        #: observer, gated on the flag set at de-virtualization.
-        self.tainted_blocks: set[int] = set()
-        self._direct_io_taint = False
-        self.bitmap.guest_write_listeners.append(self._taint_range)
-        machine.disk_controller.disk.write_observers.append(
-            self._taint_direct_write)
         self.mediator = self._build_mediator()
         prefetch_blocks = None
         if prefetch_lbas:
@@ -244,39 +231,11 @@ class BmcastVmm:
     def _build_mediator(self):
         return mediator_for(self.env, self.machine, self.deployment)
 
-    # -- image-content provenance (the reclaim path's warm set) ---------------
-
-    def _taint_range(self, lba: int, sector_count: int) -> None:
-        if lba >= self.bitmap.image_sectors:
-            return  # bitmap-save region, not image data
-        for block in self.bitmap.blocks_overlapping(lba, sector_count):
-            self.tainted_blocks.add(block)
-
-    def _taint_direct_write(self, request) -> None:
-        if self._direct_io_taint:
-            self._taint_range(request.lba, request.sector_count)
-
-    def pristine_blocks(self) -> set[int]:
-        """FILLED copy blocks whose disk content still equals the image.
-
-        The reclaim path preserves exactly this set: a reclaimed node
-        re-deploying the same image may trust these blocks as already
-        local, and may serve them to peers, because no guest write ever
-        touched them.
-        """
-        return {
-            block
-            for start, end, _ in self.bitmap.filled_runs()
-            for block in range(start, end)
-            if block not in self.tainted_blocks
-        }
-
     # -- phase machine ------------------------------------------------------------------
 
     def _enter_phase(self, phase: str) -> None:
         self.phase = phase
         self.phase_log.append((self.env.now, phase))
-        self.tracer.log("phase", f"entered {phase}")
         # One phase span open at a time; new work (AoE round-trips,
         # mediated commands, the copier) attaches to the current phase.
         spans = self.telemetry.tracer
@@ -393,10 +352,8 @@ class BmcastVmm:
         # From here the mediator disappears mid-teardown: switch the
         # taint source to raw disk writes (double-reporting a mediated
         # write during the hand-over is harmless — same set).
-        self._direct_io_taint = True
+        self.taint.direct_io = True
         self.copier.stop()
-        if self.peer_service is not None:
-            self.peer_service.mark_direct_io()
         yield from self.devirtualizer.run()
         self.initiator.stop()
         if self.peer_service is not None:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from repro import params
 from repro.aoe.client import AoeInitiator
-from repro.metrics.eventlog import NULL_LOG
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sim import Environment
 from repro.storage.blockdev import BlockOp
@@ -39,7 +38,6 @@ class DeploymentContext:
                  dummy_lba: int | None = None,
                  protected_lba: int | None = None,
                  protected_sectors: int = 0,
-                 tracer=NULL_LOG,
                  telemetry=NULL_TELEMETRY):
         self.env = env
         self.bitmap = bitmap
@@ -53,8 +51,6 @@ class DeploymentContext:
         #: (the peer chunk service hangs its gossip batching here).
         self.block_filled_listeners: list = []
         self.poll_interval = poll_interval
-        #: Structured event tracer (a no-op unless tracing is enabled).
-        self.tracer = tracer
         #: Metrics/span telemetry shared by mediator and copier.
         self.telemetry = telemetry
         self._m_fetch_latency = telemetry.registry.histogram(

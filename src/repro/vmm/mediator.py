@@ -190,8 +190,6 @@ class DeviceMediator:
         self._queued_commands.append(snapshot)
         self.queued_guest_commands += 1
         self._m_queued.inc()
-        self.deployment.tracer.log(
-            "queue", "guest command absorbed while VMM owns device")
 
     # -- I/O redirection (copy-on-read) ---------------------------------------------------
 
@@ -236,9 +234,6 @@ class DeviceMediator:
                 self._deliver_dummy_completion()
                 self.redirected_reads += 1
                 self._m_redirected.inc()
-                self.deployment.tracer.log(
-                    "redirect", "served guest read from server",
-                    lba=request.lba, sectors=request.sector_count)
             finally:
                 self.mode = MediatorMode.PASSTHROUGH
                 self.telemetry.tracer.end(span)
@@ -359,8 +354,6 @@ class DeviceMediator:
     def _drain_queue(self):
         while self._queued_commands:
             snapshot = self._queued_commands.pop(0)
-            self.deployment.tracer.log(
-                "replay", "reissuing queued guest command")
             yield from self._replay_guest_command(snapshot)
 
     # -- protected-region handling -----------------------------------------------------------

@@ -133,6 +133,14 @@ def test_upward_import_detected():
         from repro.vmm.bitmap import BlockBitmap
     """, module="repro.sim.engine")
     assert rules_of(results) == ["SIM005"]
+    # A deferred import inside a function body is an edge too: SIM005
+    # walks every import, so it alone judges layering.
+    results = findings("""
+        def late():
+            from repro.vmm.bitmap import BlockBitmap
+            return BlockBitmap
+    """, module="repro.sim.engine")
+    assert rules_of(results) == ["SIM005"]
 
 
 def test_downward_import_is_fine():

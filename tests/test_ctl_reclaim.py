@@ -22,9 +22,10 @@ def small_image(mb=32):
                    boot_think_seconds=0.5)
 
 
-def make_pool(node_count=1, p2p=True, vmxoff_mode="resident", **kwargs):
+def make_pool(node_count=1, p2p=True, vmxoff_mode="resident", image_mb=32,
+              **kwargs):
     testbed = build_testbed(node_count=node_count, server_count=1,
-                            p2p=p2p, image=small_image(), **kwargs)
+                            p2p=p2p, image=small_image(image_mb), **kwargs)
     return testbed, NodePool(testbed, vmxoff_mode=vmxoff_mode)
 
 
@@ -77,7 +78,7 @@ def test_scrub_wipes_the_image_and_clears_the_warm_set():
     testbed, pool = make_pool()
     deploy_to_baremetal(testbed, pool)
     vmm = pool.nodes[0].vmm
-    assert vmm.pristine_blocks()  # the image really was copied
+    assert vmm.taint.pristine_blocks()  # the image really was copied
     assert read_sector(testbed, 0, 0) is not None
     run(testbed.env, pool.reclaim(0, preserve=False), "scrub")
     record = pool.nodes[0]
@@ -94,7 +95,7 @@ def test_preserve_keeps_pristine_blocks_and_resumes_warm():
     testbed, pool = make_pool()
     deploy_to_baremetal(testbed, pool)
     first_ttr = pool.time_to_ready[0]
-    pristine = pool.nodes[0].vmm.pristine_blocks()
+    pristine = pool.nodes[0].vmm.taint.pristine_blocks()
     run(testbed.env, pool.reclaim(0, preserve=True), "reclaim")
     record = pool.nodes[0]
     assert record.warm_blocks == pristine
@@ -119,11 +120,57 @@ def test_guest_written_blocks_are_not_preserved():
                            origin="guest")
     request.buffer.fill_constant("tenant-secret")
     run(testbed.env, testbed.nodes[0].disk.execute(request), "write")
-    assert 0 in vmm.tainted_blocks
-    assert 0 not in vmm.pristine_blocks()
+    assert 0 in vmm.taint.tainted
+    assert 0 not in vmm.taint.pristine_blocks()
     run(testbed.env, pool.reclaim(0, preserve=True), "reclaim")
     assert 0 not in pool.nodes[0].warm_blocks
     assert pool.nodes[0].warm_blocks  # untouched blocks still warm
+
+
+def test_peer_advertises_exactly_the_preserve_set():
+    testbed, pool = make_pool()
+    env = testbed.env
+    instance = run(env, pool.deploy(0), "deploy")
+    vmm = instance.platform
+    service = vmm.peer_service
+    block_sectors = vmm.bitmap.block_sectors
+    mediated, direct = 3, 5
+    # Mid-deployment the write goes through the device mediator.
+    assert vmm.phase == "deployment"
+    run(env, instance.write(mediated * block_sectors + 5, 8), "mediated")
+    while vmm.phase != "baremetal":
+        env.run(until=env.now + 1.0)
+    # After de-virtualization it is raw direct I/O.
+    run(env, instance.write(direct * block_sectors, 8), "direct")
+    assert not service.servable(mediated * block_sectors, 8)
+    assert not service.servable(direct * block_sectors, 8)
+
+    pristine = vmm.taint.pristine_blocks()
+    run(env, pool.reclaim(0, preserve=True), "reclaim")
+    advertised = testbed.fabric.directory.advertised(pool.peer_port_of(0))
+    assert advertised == pristine == pool.nodes[0].warm_blocks
+    assert pristine
+    for block in (mediated, direct):
+        assert block not in pristine and block not in advertised
+
+
+def test_warm_source_after_mid_deployment_shrink_shares_the_taint():
+    testbed, pool = make_pool(image_mb=256)
+    env = testbed.env
+    vmm = run(env, pool.deploy(0), "deploy").platform
+    run(env, pool.reclaim(0, preserve=True), "reclaim")
+    assert vmm.phase == "off"  # drained by the mid-deployment shutdown
+    block = min(pool.nodes[0].warm_blocks)
+    # The free node is a warm source with no mediator: a raw write to
+    # its disk taints the block for the peer and the VMM alike.
+    lba = block * vmm.bitmap.block_sectors
+    request = BlockRequest(BlockOp.WRITE, lba, 8, origin="guest")
+    request.buffer.fill_constant("stray")
+    run(env, testbed.nodes[0].disk.execute(request), "write")
+    vmm.peer_service.publish()
+    advertised = testbed.fabric.directory.advertised(pool.peer_port_of(0))
+    assert advertised == vmm.taint.pristine_blocks()
+    assert block not in advertised
 
 
 # -- warm peers feed the next scale-up ----------------------------------------

@@ -18,7 +18,7 @@ from repro.guest.osimage import OsImage
 from repro.net import EthernetSwitch, Nic
 from repro.sim import Environment
 from repro.storage.disk import Disk
-from repro.vmm.bitmap import BlockBitmap
+from repro.vmm.bitmap import BlockBitmap, WriteTaint
 from repro.vmm.moderation import FULL_SPEED
 
 MB = 2**20
@@ -182,7 +182,8 @@ def _peer_rig():
     bitmap = BlockBitmap(image_sectors=8 * BLOCK_SECTORS)
     directory = PeerDirectory()
     peer_nic = Nic(env, switch, "node0-eth1-peer")
-    service = PeerChunkService(env, peer_nic, disk, bitmap, directory)
+    service = PeerChunkService(env, peer_nic, disk,
+                               WriteTaint(bitmap, disk), directory)
     service.start()
     client_nic = Nic(env, switch, "client")
     initiator = AoeInitiator(env, client_nic, "node0-eth1-peer")
@@ -227,10 +228,10 @@ def test_guest_write_taints_block():
     env, disk, bitmap, service, directory, initiator = _peer_rig()
     _fill(bitmap, disk, 0)
     _fill(bitmap, disk, 1)
-    assert service.summary() == {0, 1}
+    assert service.taint.pristine_blocks() == {0, 1}
     # A mediated guest write dirties block 0: no longer pristine.
     bitmap.record_guest_write(4, 8)
-    assert service.summary() == {1}
+    assert service.taint.pristine_blocks() == {1}
     assert not service.servable(0, 16)
     assert service.servable(BLOCK_SECTORS, 16)
 
@@ -238,7 +239,7 @@ def test_guest_write_taints_block():
 def test_post_devirt_disk_writes_taint():
     env, disk, bitmap, service, directory, initiator = _peer_rig()
     _fill(bitmap, disk, 2)
-    service.mark_direct_io()
+    service.taint.direct_io = True
 
     from repro.storage.blockdev import BlockOp, BlockRequest
 
@@ -250,7 +251,7 @@ def test_post_devirt_disk_writes_taint():
         yield from disk.execute(request)
 
     env.run(until=env.process(scenario()))
-    assert 2 in service.tainted
+    assert 2 in service.taint.tainted
 
 
 def test_publish_batches_and_stop_withdraws():
@@ -307,7 +308,8 @@ def _add_peer(env, switch, fabric, name, filled, advertised=None):
     disk = Disk(env)
     bitmap = BlockBitmap(image_sectors=IMAGE_BLOCKS * BLOCK_SECTORS)
     nic = Nic(env, switch, name)
-    service = PeerChunkService(env, nic, disk, bitmap, fabric.directory)
+    service = PeerChunkService(env, nic, disk, WriteTaint(bitmap, disk),
+                               fabric.directory)
     service.start()
     for block in filled:
         _fill(bitmap, disk, block)

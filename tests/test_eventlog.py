@@ -1,83 +1,31 @@
-"""Tests for the structured event tracer."""
+"""The VMM's lifecycle events, as recorded by repro.obs.
 
-import pytest
+Phases, redirected reads and copy progress each have one recorder:
+``phase:*`` spans plus ``vmm.phase_log``, ``mediated-read`` spans plus
+``mediator_redirected_reads_total``, and ``copy_progress_ratio``.
+"""
 
 from repro.cloud.provisioner import Provisioner
 from repro.cloud.scenario import build_testbed
 from repro.guest.osimage import OsImage
-from repro.metrics.eventlog import NULL_LOG, EventLog, NullEventLog
+from repro.obs import Telemetry
 from repro.sim import Environment
 from repro.vmm.moderation import FULL_SPEED
 
 MB = 2**20
 
 
-def test_eventlog_records_and_counts():
+def deploy():
     env = Environment()
-    log = EventLog(env)
-    log.log("redirect", "one", lba=5)
-    log.log("redirect", "two")
-    log.log("phase", "entered deployment")
-    assert len(log) == 3
-    assert log.counts["redirect"] == 2
-    assert [record.message for record in log.by_category("phase")] \
-        == ["entered deployment"]
-
-
-def test_eventlog_capacity_bounds():
-    env = Environment()
-    log = EventLog(env, capacity=10)
-    for index in range(25):
-        log.log("x", f"m{index}")
-    assert len(log) == 10
-    assert log.records[0].message == "m15"
-    assert log.counts["x"] == 25  # counters survive eviction
-
-
-def test_eventlog_render_and_dump():
-    env = Environment()
-    log = EventLog(env)
-    log.log("copy", "progress", filled=10, total=20)
-    text = log.dump()
-    assert "copy" in text
-    assert "filled=10" in text
-    assert "totals" in text
-
-
-def test_null_log_is_inert():
-    assert len(NULL_LOG) == 0
-    NULL_LOG.log("anything", "goes")
-    assert len(NULL_LOG) == 0
-    assert NULL_LOG.tail() == []
-    assert NULL_LOG.dump() == "(tracing disabled)"
-    assert isinstance(NULL_LOG, NullEventLog)
-
-
-def test_null_log_counts_cannot_leak_state():
-    # The old class-level Counter let one caller's mutation show up in
-    # every other NULL_LOG reader; counts is now an immutable view.
-    assert NULL_LOG.counts["anything"] == 0
-    with pytest.raises(TypeError):
-        NULL_LOG.counts["redirect"] += 1
-    with pytest.raises(TypeError):
-        NULL_LOG.counts.update({"redirect": 1})
-    with pytest.raises(TypeError):
-        NULL_LOG.counts.clear()
-    assert NULL_LOG.counts["anything"] == 0
-    assert NullEventLog().counts is NULL_LOG.counts
-    assert NULL_LOG.records == ()
-
-
-def deploy(trace):
     image = OsImage(size_bytes=16 * MB, boot_read_bytes=1 * MB,
                     boot_think_seconds=0.2)
-    testbed = build_testbed(image=image)
+    testbed = build_testbed(image=image, env=env,
+                            telemetry=Telemetry(env))
     provisioner = Provisioner(testbed)
-    env = testbed.env
 
     def scenario():
         instance = yield from provisioner.deploy(
-            "bmcast", skip_firmware=True, policy=FULL_SPEED, trace=trace)
+            "bmcast", skip_firmware=True, policy=FULL_SPEED)
         yield instance.platform.copier.done
         return instance
 
@@ -87,17 +35,19 @@ def deploy(trace):
 
 
 def test_vmm_trace_captures_lifecycle():
-    vmm = deploy(trace=True)
-    tracer = vmm.tracer
-    assert tracer.counts["redirect"] > 0
-    assert tracer.counts["phase"] >= 4
-    phases = [record.message for record in tracer.by_category("phase")]
-    assert phases[0] == "entered initialization"
-    assert phases[-1] == "entered baremetal"
-    assert tracer.counts["copy"] >= 1
-
-
-def test_vmm_trace_disabled_by_default():
-    vmm = deploy(trace=False)
-    assert isinstance(vmm.tracer, NullEventLog)
-    assert len(vmm.tracer) == 0
+    vmm = deploy()
+    telemetry = vmm.telemetry
+    spans = [span.name for span in telemetry.tracer.walk()]
+    assert "mediated-read" in spans
+    redirected = telemetry.registry.counter(
+        "mediator_redirected_reads_total",
+        controller=vmm.mediator.controller_kind)
+    assert redirected.value > 0
+    phases = [phase for _, phase in vmm.phase_log]
+    assert phases == ["off", "initialization", "deployment",
+                      "devirtualization", "baremetal"]
+    assert [name for name in spans if name.startswith("phase:")][-1] \
+        == "phase:baremetal"
+    assert telemetry.registry.gauge("copy_progress_ratio").value == 1.0
+    assert len(telemetry.registry.series(
+        "copy_throughput_bytes_per_second", unit="B/s")) > 0

@@ -310,6 +310,13 @@ def test_deploy_records_phase_tree_and_instruments():
               if span.name.startswith("phase:")}
     assert {"phase:initialization", "phase:deployment",
             "phase:devirtualization", "phase:baremetal"} <= phases
+    logged = [phase for _, phase in instance.platform.phase_log]
+    assert logged[logged.index("initialization"):] == [
+        "initialization", "deployment", "devirtualization", "baremetal"]
+    redirected = telemetry.registry.counter(
+        "mediator_redirected_reads_total",
+        controller=instance.platform.mediator.controller_kind)
+    assert redirected.value > 0
     rtt = telemetry.registry.histogram("aoe_request_seconds", op="read")
     assert rtt.count > 0
     assert rtt.summary()["p50"] > 0

@@ -9,6 +9,7 @@ import textwrap
 
 import pytest
 
+from repro.analysis.lint import lint_paths
 from repro.analysis.simcheck.engine import (
     CATALOG,
     main,
@@ -451,7 +452,7 @@ def test_claim_methods_extractor(tmp_path):
     assert report.fsm_fully_covered
 
 
-# -- CHECK050/051/052: import graph -------------------------------------------
+# -- CHECK050/051: import graph -----------------------------------------------
 
 def test_import_cycle_flagged(tmp_path):
     report = check_tree(tmp_path, {
@@ -473,11 +474,15 @@ def test_deferred_import_breaks_the_cycle(tmp_path):
 
 def test_layering_violation_flagged(tmp_path):
     # sim (rank 1) depending on ctl (rank 8) inverts the layering.
+    # simlint's SIM005 judges layering; simcheck does not repeat it.
     report = check_tree(tmp_path, {
         "sim/clock.py": "import repro.ctl.widget\n",
         "ctl/widget.py": "VALUE = 1\n",
     })
-    assert "CHECK052" in codes_of(report)
+    assert codes_of(report) == []
+    lint = lint_paths([str(tmp_path / "repro")])
+    assert [(finding.rule, finding.path.rsplit("/repro/", 1)[1])
+            for finding in lint] == [("SIM005", "sim/clock.py")]
 
 
 def test_downward_dependency_is_clean(tmp_path):
@@ -485,7 +490,7 @@ def test_downward_dependency_is_clean(tmp_path):
         "ctl/widget.py": "import repro.sim.clock\n",
         "sim/clock.py": "VALUE = 1\n",
     })
-    assert "CHECK052" not in codes_of(report)
+    assert codes_of(report) == []
 
 
 def test_unranked_package_flagged(tmp_path):
