@@ -21,6 +21,7 @@ from repro.aoe.protocol import (
     split_write_payload,
 )
 from repro.aoe.rtt import RttEstimator
+from repro.net.flow import FluidState
 from repro.net.nic import Nic
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sim import Environment, Event, Interrupt
@@ -91,6 +92,12 @@ class AoeInitiator:
         #: path's warm peers made this mix the common case).
         self._rtts: dict[str, RttEstimator] = {server: self.rtt}
         self.min_rto = min_rto
+        #: Whether bulk reads travel as analytic fluid flows.  The
+        #: owning VMM swaps in a requested state and engages it; this
+        #: initiator demotes it on the first NAK, timeout or
+        #: retransmission.  Unrequested by default, so baselines never
+        #: go fluid.
+        self.fluid = FluidState()
         self._dispatcher = None
         # Metrics.
         self.reads_completed = 0
@@ -152,23 +159,20 @@ class AoeInitiator:
 
     def read_blocks(self, lba: int, sector_count: int,
                     bulk: bool = False, target: str | None = None,
-                    protocol: str = "aoe", fluid: bool = False):
+                    protocol: str = "aoe"):
         """Generator: fetch content runs for a sector range.
 
         ``bulk=True`` selects the aggregate wire path — identical timing,
         far fewer simulation events; used for background-copy streaming.
-        ``fluid=True`` (bulk only) prices the data leg analytically via
-        the switch's fluid-flow model and skips the retransmission
-        machinery — callers must demote to packet mode before loss or
-        moderation dynamics engage.  ``target`` overrides the default
+        While :attr:`fluid` is active, a bulk read's data leg is priced
+        analytically via the switch's fluid-flow model and skips the
+        retransmission machinery.  ``target`` overrides the default
         server port for this one transaction (the distribution fabric
         routes reads to replicas and peers); ``protocol`` tags the
         frames for the switch's per-protocol accounting.
         """
-        if fluid and not bulk:
-            raise ValueError("fluid transfers require bulk=True")
         command = AoeCommand(next(self._tags), "read", lba, sector_count,
-                             bulk=bulk, fluid=fluid)
+                             bulk=bulk, fluid=bulk and self.fluid.active)
         transaction = yield from self._transact(command, target, protocol)
         self.reads_completed += 1
         runs = transaction.reassembly.assemble()
@@ -193,6 +197,12 @@ class AoeInitiator:
         for observer in self.observers:
             observer(kind, **fields)
 
+    def _demote_fluid(self, reason: str) -> None:
+        """A NAK, timeout or retransmission shows the path is not in
+        steady state: later bulk reads take the exact packet path."""
+        if self.fluid.active:
+            self.fluid.demote(reason)
+
     def _transact(self, command: AoeCommand, target: str | None = None,
                   protocol: str = "aoe"):
         if self._dispatcher is None:
@@ -212,6 +222,7 @@ class AoeInitiator:
             self._pending.pop(command.tag, None)
             self.telemetry.tracer.end(span, retries=transaction.retries)
         if transaction.nak is not None:
+            self._demote_fluid("nak")
             if self.observers:
                 self._emit("nak", tag=command.tag,
                            target=transaction.target, lba=command.lba,
@@ -255,6 +266,7 @@ class AoeInitiator:
             transaction.retries += 1
             if transaction.retries > self.MAX_RETRIES:
                 self._m_timeouts.inc()
+                self._demote_fluid("timeout")
                 if self.observers:
                     self._emit("timeout", tag=command.tag,
                                target=transaction.target)
@@ -263,6 +275,7 @@ class AoeInitiator:
                     f"{self.MAX_RETRIES} retries")
             self.retransmissions += 1
             self._m_retransmissions.inc()
+            self._demote_fluid("retransmission")
             # Back off the estimator on loss (Karn-style doubling).
             rtt.back_off()
             transaction.sent_at = self.env.now

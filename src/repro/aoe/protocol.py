@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import params
+from repro.storage.blockdev import clip_runs, coalesce_runs
 
 
 def sectors_per_frame(mtu: int) -> int:
@@ -136,13 +137,7 @@ class ReassemblyBuffer:
         runs: list = []
         for index in range(self.fragment_total):
             runs.extend(self.fragments[index].runs)
-        merged: list = []
-        for start, end, token in runs:
-            if merged and merged[-1][1] == start and merged[-1][2] == token:
-                merged[-1] = (merged[-1][0], end, token)
-            else:
-                merged.append((start, end, token))
-        return merged
+        return coalesce_runs(runs)
 
 
 def split_read_reply(tag: int, lba: int, runs: list, mtu: int):
@@ -158,11 +153,8 @@ def split_read_reply(tag: int, lba: int, runs: list, mtu: int):
     for index in range(count):
         window_start = lba + index * per_frame
         window_end = min(lba + total, window_start + per_frame)
-        clipped = tuple(
-            (max(start, window_start), min(end, window_end), token)
-            for start, end, token in runs
-            if start < window_end and end > window_start
-        )
+        clipped = tuple(clip_runs(runs, window_start,
+                                  window_end - window_start))
         fragments.append(AoeDataFragment(
             tag=tag,
             fragment_index=index,
@@ -177,14 +169,5 @@ def split_read_reply(tag: int, lba: int, runs: list, mtu: int):
 def split_write_payload(tag: int, lba: int, sector_count: int, runs: list,
                         mtu: int):
     """Fragments for the data of a write command."""
-    return split_read_reply(tag, lba, _clip_runs(runs, lba, sector_count),
+    return split_read_reply(tag, lba, clip_runs(runs, lba, sector_count),
                             mtu)
-
-
-def _clip_runs(runs: list, lba: int, sector_count: int) -> list:
-    end_lba = lba + sector_count
-    return [
-        (max(start, lba), min(end, end_lba), token)
-        for start, end, token in runs
-        if start < end_lba and end > lba
-    ]

@@ -396,19 +396,26 @@ def cmd_deploy(args, print_summary: bool = False) -> int:
         if suite.violations:
             status = 1
     if getattr(args, "replay_check", False):
-        status = max(status, _replay_check(args))
+        options.pop("sanitizers", None)
+        status = max(status, _replay_check(args, options))
     return status
 
 
-def _replay_check(args) -> int:
-    """Run the deploy scenario twice and compare event streams."""
+def _replay_check(args, deploy_options: dict) -> int:
+    """Run the deploy scenario twice and compare event streams.
+
+    ``deploy_options`` are the checked deploy's options (prefetch,
+    fluid, policy), so the replay runs the same deployment.
+    """
     from repro.analysis import check_replay, deployment_scenario
+    policy = deploy_options.pop("policy", None)
     scenario = deployment_scenario(
         lambda: _image(args.image_gb),
         server_count=getattr(args, "replicas", 1),
         p2p=getattr(args, "p2p", False),
         select_policy=getattr(args, "select_policy", "round-robin"),
-        wait=getattr(args, "wait", False))
+        policy=policy, wait=getattr(args, "wait", False),
+        deploy_options=deploy_options)
     report = check_replay(scenario, runs=2)
     print(report.describe())
     return 1 if report.divergent else 0

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from repro.aoe.client import AoeNakError, AoeTimeoutError
 from repro.obs.telemetry import NULL_TELEMETRY
+from repro.storage.blockdev import coalesce_runs
 
 #: Frame tag for peer-to-peer chunk traffic (switch accounting).
 PEER_PROTOCOL = "aoe-peer"
@@ -81,15 +82,14 @@ class FetchRouter:
 
     # -- fetch path --------------------------------------------------------------
 
-    def read_blocks(self, lba: int, sector_count: int,
-                    bulk: bool = False, fluid: bool = False):
+    def read_blocks(self, lba: int, sector_count: int, bulk: bool = False):
         """Generator: fetch content runs via the fabric.
 
         Drop-in for :meth:`AoeInitiator.read_blocks` — the deployment
-        context and copier cannot tell the difference.  ``fluid``
-        applies only to origin fetches (peer gossip demotes fluid mode
-        at arm time, but the threading is defensive either way: peer
-        legs always run packet mode).
+        context and copier cannot tell the difference.  Whether a bulk
+        fetch travels as a fluid flow is the initiator's decision (see
+        ``AoeInitiator.fluid``); peer fetches never do, because peer
+        gossip demotes fluid mode before the copier starts.
         """
         if self.fabric.p2p:
             blocks = self.fabric.blocks_of(lba, sector_count)
@@ -98,7 +98,7 @@ class FetchRouter:
                 # segment by segment so partial peer coverage still
                 # serves what it can.
                 runs = yield from self._read_segmented(lba, sector_count,
-                                                       blocks, fluid)
+                                                       blocks)
                 return runs
             peer = self._pick_peer(lba, sector_count)
             if peer is not None:
@@ -106,12 +106,10 @@ class FetchRouter:
                     peer, lba, sector_count, bulk)
                 if runs is not None:
                     return runs
-        runs = yield from self._fetch_from_origin(lba, sector_count, bulk,
-                                                  fluid)
+        runs = yield from self._fetch_from_origin(lba, sector_count, bulk)
         return runs
 
-    def _read_segmented(self, lba: int, sector_count: int,
-                        blocks: list, fluid: bool = False):
+    def _read_segmented(self, lba: int, sector_count: int, blocks: list):
         """Split a coalesced bulk run into per-target segments.
 
         A single peer rarely advertises every block of a long run —
@@ -157,10 +155,10 @@ class FetchRouter:
                     peer, seg_start, seg_count, True)
             if seg_runs is None:
                 seg_runs = yield from self._fetch_from_origin(
-                    seg_start, seg_count, True, fluid)
+                    seg_start, seg_count, True)
             runs.extend(seg_runs)
             index = stop
-        return _coalesce_runs(runs)
+        return coalesce_runs(runs)
 
     def _pick_peer(self, lba: int, sector_count: int) -> str | None:
         blocks = self.fabric.blocks_of(lba, sector_count)
@@ -205,21 +203,15 @@ class FetchRouter:
             block_sectors=self.fabric.block_sectors)
         return runs
 
-    def _fetch_from_origin(self, lba: int, sector_count: int,
-                           bulk: bool, fluid: bool = False):
+    def _fetch_from_origin(self, lba: int, sector_count: int, bulk: bool):
         target = self.selector.select(lba, sector_count)
         started = self.env.now
         self.selector.note_sent(target)
         try:
             with self.telemetry.profiler.track("origin",
                                                "origin-fetch"):
-                if fluid:
-                    runs = yield from self.initiator.read_blocks(
-                        lba, sector_count, bulk=bulk, target=target,
-                        fluid=True)
-                else:
-                    runs = yield from self.initiator.read_blocks(
-                        lba, sector_count, bulk=bulk, target=target)
+                runs = yield from self.initiator.read_blocks(
+                    lba, sector_count, bulk=bulk, target=target)
         except AoeTimeoutError:
             self.selector.note_complete(target, self.env.now - started,
                                         ok=False)
@@ -231,14 +223,3 @@ class FetchRouter:
             self.node_port, lba, sector_count, target, "origin", started,
             block_sectors=self.fabric.block_sectors)
         return runs
-
-
-def _coalesce_runs(runs: list) -> list:
-    """Merge adjacent same-token runs from consecutive segments."""
-    merged: list = []
-    for start, end, token in runs:
-        if merged and merged[-1][1] == start and merged[-1][2] == token:
-            merged[-1] = (merged[-1][0], end, token)
-        else:
-            merged.append((start, end, token))
-    return merged

@@ -29,6 +29,16 @@ def coalesce_runs(runs: list) -> list:
     return merged
 
 
+def clip_runs(runs: list, start: int, count: int) -> list:
+    """The parts of ``runs`` inside ``[start, start + count)``."""
+    end = start + count
+    return [
+        (max(run_start, start), min(run_end, end), token)
+        for run_start, run_end, token in runs
+        if run_start < end and run_end > start
+    ]
+
+
 @dataclass
 class SectorBuffer:
     """Symbolic contents of a DMA transfer: token runs over sector indexes.

@@ -237,26 +237,14 @@ class BlockBitmap:
 
     def commit_fill(self, block: int) -> None:
         """Copier: COPYING -> FILLED after the disk write completed."""
-        was_claimed = block in self._copying
-        if self.transition_listeners:
-            # Emitted before raising so the sanitizer sees the attempt
-            # even if the caller swallows the exception.
-            self._notify("commit", block, was_claimed=was_claimed,
-                         state=self.state(block).value)
-        if not was_claimed:
-            raise ValueError(f"block {block} was not claimed")
-        self._copying.discard(block)
-        self._filled.set_range(block, 1, True)
-        # The overlay for this block is no longer needed.
-        start, count = self.block_range(block)
-        self.dirty.clear_range(start, count)
+        self.commit_fill_run(block, 1)
 
     def commit_fill_run(self, block: int, count: int) -> None:
         """Copier: COPYING -> FILLED for ``count`` contiguous blocks as
         one atomic bitmap update (single filled-map range set, single
         dirty-overlay clear).  Every block must be claimed — validated
-        up front, before any state changes — and per-block ``"commit"``
-        notifications are emitted exactly as :meth:`commit_fill` would.
+        up front, before any state changes — and one ``"commit"``
+        notification is emitted per block.
         """
         if count < 1:
             raise ValueError("count must be positive")

@@ -20,6 +20,7 @@ from repro import params
 from repro.aoe.client import AoeInitiator
 from repro.hw.cpu import ExitReason
 from repro.hw.platform import PlatformCondition
+from repro.net.flow import FluidState
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sim import Environment
 from repro.vmm.bitmap import BlockBitmap, WriteTaint
@@ -150,13 +151,14 @@ class BmcastVmm:
                     prefetch_blocks.append(block)
         #: Fluid-flow opt-in (repro.net.flow): armed at boot, demoted
         #: permanently the moment any fidelity-bearing dynamic engages.
-        from repro.net.flow import FluidState
-        self.fluid = FluidState(requested=fluid, telemetry=telemetry)
+        #: The initiator owns it and demotes it on NAK, timeout and
+        #: retransmission.
+        self.fluid = self.initiator.fluid = FluidState(requested=fluid,
+                                                       telemetry=telemetry)
         self.copier = BackgroundCopier(env, self.deployment, self.mediator,
                                        policy=policy,
                                        prefetch_blocks=prefetch_blocks,
-                                       coalesce_blocks=coalesce_blocks,
-                                       fluid_state=self.fluid)
+                                       coalesce_blocks=coalesce_blocks)
         #: Additional mediators (e.g. a shared-NIC mediator, paper 6)
         #: installed at boot and removed at de-virtualization.
         self.extra_mediators = list(extra_mediators)
@@ -312,9 +314,9 @@ class BmcastVmm:
         """Engage fluid transfers iff no fidelity-bearing dynamic is on.
 
         Static demotion triggers are evaluated here, at deployment
-        start; runtime triggers (NAK / timeout / retransmission) demote
-        via the initiator observer so the very next copier fetch falls
-        back to the exact per-packet path.
+        start; the initiator demotes on runtime triggers (NAK / timeout
+        / retransmission), so the very next copier fetch falls back to
+        the exact per-packet path.
         """
         policy = self.copier.policy
         if policy.write_interval != 0.0 or policy.suspend_interval != 0.0:
@@ -324,18 +326,7 @@ class BmcastVmm:
             self.fluid.demote("loss-injection")
         if self.fabric is not None and self.fabric.p2p:
             self.fluid.demote("peer-gossip")
-        if self.fluid.engage():
-            self.initiator.observers.append(self._fluid_observer)
-
-    def _fluid_observer(self, kind: str, **fields) -> None:
-        if not self.fluid.active:
-            return
-        if kind == "nak":
-            self.fluid.demote("nak")
-        elif kind == "timeout":
-            self.fluid.demote("timeout")
-        elif kind == "send" and fields.get("retransmit"):
-            self.fluid.demote("retransmission")
+        self.fluid.engage()
 
     # -- deployment -> de-virtualization ---------------------------------------------------------
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro import params
 from repro.sim import Environment, Interrupt, Store
-from repro.storage.blockdev import BlockOp, BlockRequest, SectorBuffer
+from repro.storage.blockdev import BlockOp, BlockRequest, clip_runs
 from repro.vmm.bitmap import BlockState
 from repro.vmm.deploy import DeploymentContext
 from repro.vmm.mediator import DeviceMediator
@@ -31,12 +31,11 @@ class BackgroundCopier:
     the retriever coalesces contiguous pristine (EMPTY) blocks into runs
     of up to ``coalesce_blocks`` and fetches each run as ONE bulk
     transaction — same bytes on the wire, one command/ack round trip and
-    one server read instead of per-block events — and the writer lands
-    each run with a single disk transaction and an atomic bitmap
-    range-commit.  Moderated policies keep the per-block pipeline
-    untouched: pacing stays per VMM write and the FIFO's lookahead stays
-    at ``fifo_capacity`` blocks, so interference and outage behavior are
-    byte-for-byte what they were before coalescing existed.
+    one server read instead of per-block events.  Moderated policies and
+    prefetch blocks claim one block at a time, so pacing stays per VMM
+    write and the FIFO's lookahead stays at ``fifo_capacity`` blocks.
+    Either way the writer lands each FIFO item with one disk transaction
+    and one atomic bitmap range-commit (:meth:`_write_run`).
     """
 
     #: Idle poll granularity of the writer thread.
@@ -50,16 +49,11 @@ class BackgroundCopier:
                  policy: ModerationPolicy | None = None,
                  fifo_capacity: int = 4,
                  prefetch_blocks=None,
-                 coalesce_blocks: int | None = None,
-                 fluid_state=None):
+                 coalesce_blocks: int | None = None):
         self.env = env
         self.deployment = deployment
         self.mediator = mediator
         self.policy = policy or ModerationPolicy()
-        #: The deployment's FluidState, when the platform opted in —
-        #: checked per fetch so a runtime demotion (NAK, retransmit)
-        #: flips the very next fetch back to packet mode.
-        self.fluid_state = fluid_state
         self.coalesce_blocks = coalesce_blocks \
             if coalesce_blocks is not None else self.DEFAULT_COALESCE_BLOCKS
         if self.coalesce_blocks < 1:
@@ -171,19 +165,8 @@ class BackgroundCopier:
                 try:
                     with self.telemetry.profiler.track("copier",
                                                        "fetch-block"):
-                        # Two call forms so the packet path stays
-                        # byte-identical to pre-fluid builds (and keeps
-                        # working against fetchers that predate the
-                        # fluid kwarg).
-                        if self.fluid_state is not None \
-                                and self.fluid_state.active:
-                            runs = yield from \
-                                self.deployment.fetcher.read_blocks(
-                                    start, count, bulk=True, fluid=True)
-                        else:
-                            runs = yield from \
-                                self.deployment.fetcher.read_blocks(
-                                    start, count, bulk=True)
+                        runs = yield from self.deployment.fetcher.read_blocks(
+                            start, count, bulk=True)
                 except AoeTimeoutError:
                     # Server unreachable: release the claims, back off,
                     # and keep trying — a degraded deployment stalls,
@@ -242,27 +225,17 @@ class BackgroundCopier:
                     continue
                 item = self.fifo.try_get()
                 if item is not None:
+                    # Moderated and prefetch items are always one block
+                    # (the retriever only coalesces unmoderated,
+                    # non-prefetch claims), so pacing stays per VMM
+                    # write; and a one-block item's fetched runs cover
+                    # exactly that block, so they need no clipping.
                     block, count, runs, is_prefetch = item
-                    if count > 1 and self._unmoderated():
-                        # Unmoderated: land the whole fetched run as one
-                        # disk transaction and one atomic range-commit.
+                    if not is_prefetch:
+                        # Prefetch blocks skip moderation: copying the
+                        # boot working set early IS the point.
                         yield from self._moderate()
-                        yield from self._write_run(block, count, runs)
-                        continue
-                    # Moderated (or single-block): unbundle the run so
-                    # pacing stays per VMM write, exactly as before
-                    # coalescing existed.
-                    for offset in range(count):
-                        cursor = block + offset
-                        if not is_prefetch:
-                            # Prefetch blocks skip moderation: copying
-                            # the boot working set early IS the point.
-                            yield from self._moderate()
-                        cursor_start, cursor_count = \
-                            bitmap.block_range(cursor)
-                        yield from self._write_block(
-                            cursor, _clip(runs, cursor_start,
-                                          cursor_count))
+                    yield from self._write_run(block, count, runs)
                     continue
                 if bitmap.complete:
                     break
@@ -298,84 +271,38 @@ class BackgroundCopier:
             with self.telemetry.profiler.track("copier", "moderate-pace"):
                 yield self.env.timeout(policy.write_interval)
 
-    def _write_block(self, block: int, runs: list):
-        bitmap = self.deployment.bitmap
-        if bitmap.state(block).value != "copying":
-            # The guest overwrote the whole block while we fetched it;
-            # its data is newer — drop ours.
-            return
-        start, count = bitmap.block_range(block)
-        request = BlockRequest(BlockOp.WRITE, start, count, origin="vmm")
-        request.buffer.runs = list(runs)
-
-        def revalidate(pending: BlockRequest) -> list:
-            # THE atomic check (paper 3.3), performed after the mediator
-            # owns the device: exclude everything the guest has written
-            # by now — no later guest write can reach the disk before
-            # ours anymore (it would be queued and replayed after).
-            if bitmap.state(block).value != "copying":
-                return []
-            clean: list = []
-            for run_start, run_count in bitmap.writable_runs(block):
-                clean.extend(_clip(runs, run_start, run_count))
-            return clean
-
-        with self.telemetry.profiler.track("copier", "write-block"):
-            yield from self.mediator.vmm_request(request, revalidate)
-        written = sum(end - begin for begin, end, _ in
-                      request.buffer.runs)
-        self.bytes_written += written * params.SECTOR_BYTES
-        self._m_bytes_written.inc(written * params.SECTOR_BYTES)
-        state = bitmap.state(block)
-        if state is BlockState.FILLED:
-            # Claim vanished mid-write (guest full-block write was queued
-            # and recorded): the guest's replayed write will land after
-            # ours, so the disk still converges to the newest data.
-            # Committing here would be a protocol violation — the block
-            # is the guest's now.
-            return
-        if state is not BlockState.COPYING:
-            # EMPTY with our write completed means someone released our
-            # claim out from under us: a genuine protocol bug, not the
-            # benign race above.  The old code swallowed this under a
-            # blanket ``except ValueError``.
-            raise RuntimeError(
-                f"copier lost its claim on block {block} "
-                f"(state is {state.value!r} after write)")
-        bitmap.commit_fill(block)
-        self.deployment.note_block_filled(block)
-        self.blocks_filled += 1
-        self._m_blocks_filled.set(self.blocks_filled)
-        self._m_progress.set(bitmap.filled_count
-                             / bitmap.block_count)
-        self._m_throughput.record(self.env.now, self.write_rate())
-
     def _write_run(self, first_block: int, block_count: int, runs: list):
-        """Land a coalesced run with one disk transaction.
+        """Land a claimed run of ``block_count >= 1`` blocks with one
+        disk transaction and commit it.
 
-        The same atomic rule as :meth:`_write_block` applies, but once
-        per run instead of once per block: under device ownership the
-        revalidation masks out, per block, everything the guest wrote
-        or filled meanwhile.  Afterwards each maximal still-COPYING
-        stretch commits through ``commit_fill_run`` — blocks the guest
-        fully overwrote mid-write are the guest's and are skipped, just
-        as the per-block path skips them.
+        THE atomic check (paper 3.3) runs once the mediator owns the
+        device: the revalidation masks out, per block, everything the
+        guest wrote or filled meanwhile — no later guest write can reach
+        the disk before ours anymore (it would be queued and replayed
+        after).  Afterwards each maximal still-COPYING stretch commits
+        through ``commit_fill_run``; blocks the guest fully overwrote
+        mid-write are the guest's and are skipped.
         """
         bitmap = self.deployment.bitmap
+        end_block = first_block + block_count
+        if not any(bitmap.state(block) is BlockState.COPYING
+                   for block in range(first_block, end_block)):
+            # The guest overwrote every block while we fetched them;
+            # its data is newer — drop ours.
+            return
         start = first_block * bitmap.block_sectors
         count = min(block_count * bitmap.block_sectors,
                     bitmap.image_sectors - start)
         request = BlockRequest(BlockOp.WRITE, start, count, origin="vmm")
         request.buffer.runs = list(runs)
-        end_block = first_block + block_count
 
         def revalidate(pending: BlockRequest) -> list:
             clean: list = []
             for block in range(first_block, end_block):
-                if bitmap.state(block).value != "copying":
+                if bitmap.state(block) is not BlockState.COPYING:
                     continue
                 for run_start, run_count in bitmap.writable_runs(block):
-                    clean.extend(_clip(runs, run_start, run_count))
+                    clean.extend(clip_runs(runs, run_start, run_count))
             return clean
 
         with self.telemetry.profiler.track("copier", "write-block"):
@@ -388,16 +315,21 @@ class BackgroundCopier:
         while cursor < end_block:
             state = bitmap.state(cursor)
             if state is BlockState.FILLED:
-                # Guest full-block write recorded mid-transaction; its
-                # replayed write lands after ours — the block is the
-                # guest's now, committing it would be a violation.
+                # Claim vanished mid-write (guest full-block write was
+                # queued and recorded): the guest's replayed write lands
+                # after ours, so the disk still converges to the newest
+                # data.  Committing it would be a protocol violation.
                 cursor += 1
                 continue
             if state is not BlockState.COPYING:
+                # EMPTY with our write completed means someone released
+                # our claim out from under us: a protocol bug, not the
+                # benign race above.
                 raise RuntimeError(
                     f"copier lost its claim on block {cursor} "
                     f"(state is {state.value!r} after write)")
             commit_start = cursor
+            cursor += 1
             while (cursor < end_block
                    and bitmap.state(cursor) is BlockState.COPYING):
                 cursor += 1
@@ -435,7 +367,7 @@ class BackgroundCopier:
                     for start, stop, value in bitmap.dirty.runs_in(
                             cursor, block_end - cursor):
                         if value is None:
-                            clean.extend(_clip(runs, start, stop - start))
+                            clean.extend(clip_runs(runs, start, stop - start))
                 cursor = block_end
             return clean
 
@@ -463,12 +395,3 @@ class BackgroundCopier:
         if not elapsed:
             return 0.0
         return (self.bytes_written + self.writeback_bytes) / elapsed
-
-
-def _clip(runs: list, start: int, count: int) -> list:
-    end = start + count
-    return [
-        (max(run_start, start), min(run_end, end), token)
-        for run_start, run_end, token in runs
-        if run_start < end and run_end > start
-    ]

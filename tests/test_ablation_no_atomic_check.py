@@ -24,29 +24,15 @@ MB = 2**20
 class UncheckedCopier(copier_module.BackgroundCopier):
     """A copier with the paper's atomic check ripped out."""
 
-    def _write_block(self, block, runs):
-        bitmap = self.deployment.bitmap
-        start, count = bitmap.block_range(block)
-        request = BlockRequest(BlockOp.WRITE, start, count, origin="vmm")
-        request.buffer.runs = list(runs)
-        # No revalidate: whatever was fetched gets written, even over
-        # sectors the guest has written since.
-        yield from self.mediator.vmm_request(request)
-        try:
-            bitmap.commit_fill(block)
-            self.blocks_filled += 1
-        except ValueError:
-            pass
-
     def _write_run(self, first_block, block_count, runs):
-        # The coalesced path must be equally unchecked, or the ablation
-        # would silently exercise the real revalidation.
         bitmap = self.deployment.bitmap
         start = first_block * bitmap.block_sectors
         count = min(block_count * bitmap.block_sectors,
                     bitmap.image_sectors - start)
         request = BlockRequest(BlockOp.WRITE, start, count, origin="vmm")
         request.buffer.runs = list(runs)
+        # No revalidate: whatever was fetched gets written, even over
+        # sectors the guest has written since.
         yield from self.mediator.vmm_request(request)
         for block in range(first_block, first_block + block_count):
             try:

@@ -33,27 +33,15 @@ MB = 2**20
 class UncheckedCopier(copier_module.BackgroundCopier):
     """Copier with the at-write-time revalidation ripped out."""
 
-    def _write_block(self, block, runs):
-        bitmap = self.deployment.bitmap
-        start, count = bitmap.block_range(block)
-        request = BlockRequest(BlockOp.WRITE, start, count, origin="vmm")
-        request.buffer.runs = list(runs)
-        yield from self.mediator.vmm_request(request)
-        try:
-            bitmap.commit_fill(block)
-            self.blocks_filled += 1
-        except ValueError:
-            pass
-
     def _write_run(self, first_block, block_count, runs):
-        # Full-speed deploys land coalesced runs through this path; the
-        # ablation must skip revalidation here too.
         bitmap = self.deployment.bitmap
         start = first_block * bitmap.block_sectors
         count = min(block_count * bitmap.block_sectors,
                     bitmap.image_sectors - start)
         request = BlockRequest(BlockOp.WRITE, start, count, origin="vmm")
         request.buffer.runs = list(runs)
+        # No revalidate: whatever was fetched gets written, even over
+        # sectors the guest has written since.
         yield from self.mediator.vmm_request(request)
         for block in range(first_block, first_block + block_count):
             try:

@@ -14,6 +14,7 @@ from repro.aoe.protocol import (
 )
 from repro.aoe.server import AoeServer, ImageStore
 from repro.net import EthernetSwitch, LossModel, Nic
+from repro.net.flow import FluidState
 from repro.sim import Environment
 from repro.util.intervalmap import IntervalMap
 
@@ -180,6 +181,8 @@ def test_standard_mtu_slower_than_jumbo():
 
 def test_retransmission_recovers_from_loss():
     env, client, server, store = make_aoe(loss=0.05, seed=3)
+    client.fluid = FluidState(requested=True)
+    client.fluid.engage()
 
     def proc():
         for block in range(20):
@@ -189,6 +192,9 @@ def test_retransmission_recovers_from_loss():
     run(env, proc())
     assert client.retransmissions > 0
     assert client.reads_completed == 20
+    # A retransmission shows the path is lossy: the initiator itself
+    # drops its fluid mode.
+    assert client.fluid.describe() == "demoted(retransmission)"
 
 
 def test_heavy_loss_eventually_gives_up():

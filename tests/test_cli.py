@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.cli import main
+from repro.analysis import check_replay, deployment_scenario
+from repro.cli import _image, main
+from repro.vmm.moderation import FULL_SPEED
 
 
 def test_info(capsys):
@@ -98,6 +100,17 @@ def test_deploy_replay_check(capsys):
                  "--replay-check"]) == 0
     out = capsys.readouterr().out
     assert "runs identical" in out
+    # The replay must run the deployment that was checked: a fluid
+    # full-speed deploy is replayed as one, not as a moderated packet
+    # deploy.
+    assert main(["deploy", "--method", "bmcast", "--image-gb", "0.0625",
+                 "--fluid", "--full-speed", "--replay-check"]) == 0
+    out = capsys.readouterr().out
+    assert "fluid mode: active" in out
+    expected = check_replay(deployment_scenario(
+        lambda: _image(0.0625), policy=FULL_SPEED, wait=False,
+        deploy_options={"fluid": True}))
+    assert f"digest {expected.digests[0][:16]}" in out
 
 
 def test_scaleout_sanitized(capsys):

@@ -300,9 +300,9 @@ def test_fluid_fetches_bypass_rto_machinery():
 
 
 def test_runtime_retransmission_demotes_mid_deployment():
-    # Runtime demotion: the initiator observer flips the deployment
-    # back to packet mode the moment any transaction retransmits, and
-    # every subsequent copier fetch takes the exact per-packet path.
+    # Runtime demotion: the initiator flips the deployment back to
+    # packet mode the moment any transaction retransmits, and every
+    # subsequent copier fetch takes the exact per-packet path.
     env = Environment()
     testbed = build_testbed(node_count=1, image=_image(), env=env)
     cluster = Cluster(testbed)
@@ -316,8 +316,9 @@ def test_runtime_retransmission_demotes_mid_deployment():
     platform = cluster.instances[0].platform
     assert platform.fluid.describe() == "active"
     flows_before = testbed.switch.flow_network.flows_started
-    # What the initiator emits on an RTO-driven re-send.
-    platform._fluid_observer("send", retransmit=True, retries=1)
+    # What the initiator does to its own state on an RTO-driven
+    # re-send (tests/test_aoe.py drives the real retransmission).
+    platform.initiator.fluid.demote("retransmission")
     assert platform.fluid.describe() == "demoted(retransmission)"
 
     def finish():

@@ -162,6 +162,43 @@ def test_full_block_guest_write_skips_copy():
     assert vmm.bitmap.complete
 
 
+def test_write_run_skips_device_when_guest_overwrote_whole_run():
+    # A claimed 2-block run whose blocks the guest fully overwrote
+    # while they were being fetched: the copier must not even borrow
+    # the device, let alone write stale image data.
+    testbed, vmm, guest = make_deployment(
+        "ahci", size_mb=32,
+        policy=ModerationPolicy(write_interval=50e-3))
+    env = testbed.env
+    bitmap = vmm.bitmap
+    block_sectors = bitmap.block_sectors
+    first = bitmap.block_count - 3
+    lba = first * block_sectors
+    requests = []
+    original = vmm.mediator.vmm_request
+
+    def recording(request, revalidate=None):
+        requests.append(request)
+        return (yield from original(request, revalidate))
+
+    def scenario():
+        yield from testbed.node.machine.power_on()
+        yield from testbed.node.machine.firmware.network_boot()
+        yield from vmm.boot()
+        # The paced copier is still far below these blocks.
+        assert bitmap.claim_run(first, 2) == 2
+        yield from guest.write(lba, 2 * block_sectors, tag="newest")
+        vmm.mediator.vmm_request = recording
+        yield from vmm.copier._write_run(
+            first, 2, [(lba, lba + 2 * block_sectors, ("img", "stale"))])
+
+    env.run(until=env.process(scenario()))
+    assert requests == []
+    assert bitmap.state(first).value == "filled"
+    assert bitmap.state(first + 1).value == "filled"
+    assert testbed.node.disk.contents.get(lba)[0] == guest.name
+
+
 @pytest.mark.parametrize("controller", ["ide", "ahci", "megaraid"])
 def test_multiplexing_queues_and_replays_guest_commands(controller):
     testbed, vmm, guest = make_deployment(controller, size_mb=64)
