@@ -84,8 +84,10 @@ def emit(name: str, text: str, data=None, figures=None) -> None:
     text tables.
 
     ``figures`` is a flat ``{metric_name: number}`` dict of the bench's
-    headline *simulated-time* figures (ready seconds, hit ratios — never
-    wall-clock timings, which would make records machine-dependent).
+    headline figures.  Most are *simulated-time* (ready seconds, hit
+    ratios) and so deterministic; the speed benches (``bench_kernel``,
+    ``bench_fleet``) also record wall-clock figures (``*_wall_seconds``,
+    ``*_per_sec``), which depend on the machine and the run mode.
     When given, a record is appended to ``BENCH_{name}.json`` at the
     repo root; ``benchmarks/check_regression.py`` compares the last two
     records and fails CI on a >10% regression.

@@ -79,7 +79,8 @@ class StreamingOsInstance:
                 delay = self.policy.next_delay_simple()
                 if delay:
                     yield self.env.timeout(delay)
-                for run_start, run_count in bitmap.writable_runs(block):
+                for run_start, run_count in bitmap.writable_runs(start,
+                                                                 count):
                     request = BlockRequest(BlockOp.WRITE, run_start,
                                            run_count, origin="streaming")
                     request.buffer.runs = clip_runs(runs, run_start, run_count)

@@ -20,7 +20,8 @@ class IntervalMap:
 
     ``set_range(start, length, value)`` overwrites; ``get(key)`` returns
     the value or ``None``; iteration yields maximal ``(start, end, value)``
-    runs in order (``end`` exclusive).
+    runs in order (``end`` exclusive).  ``total_covered()`` is O(1): a
+    running count of covered keys is kept through every mutation.
     """
 
     def __init__(self):
@@ -29,6 +30,9 @@ class IntervalMap:
         self._starts: list[int] = []
         self._ends: list[int] = []
         self._values: list = []
+        # Keys with a value: set_range adds its length, clear_range
+        # subtracts each overlap it removes, merging leaves it alone.
+        self._covered = 0
 
     def __len__(self) -> int:
         """Number of runs (not keys)."""
@@ -62,6 +66,7 @@ class IntervalMap:
         self._starts.insert(index, start)
         self._ends.insert(index, end)
         self._values.insert(index, value)
+        self._covered += length
         self._merge_around(index)
 
     def clear_range(self, start: int, length: int) -> None:
@@ -85,6 +90,7 @@ class IntervalMap:
                 index += 1
                 continue
             value = self._values[index]
+            self._covered -= min(run_end, end) - max(run_start, start)
             # Remove this run; keep non-overlapping pieces.
             del self._starts[index]
             del self._ends[index]
@@ -189,4 +195,4 @@ class IntervalMap:
 
     def total_covered(self) -> int:
         """Total number of keys with a value."""
-        return sum(end - start for start, end, _ in self.runs())
+        return self._covered

@@ -115,6 +115,31 @@ class BlockBitmap:
     def is_filled(self, block: int) -> bool:
         return self._filled.get(block) is not None
 
+    def copying_runs(self, first: int, end: int) -> list[tuple[int, int]]:
+        """Maximal COPYING stretches ``(start, stop)`` of blocks in
+        ``[first, end)``, ``stop`` exclusive.
+
+        One pass over the filled map; claim membership is looked up only
+        inside its unfilled gaps.
+        """
+        stretches: list[tuple[int, int]] = []
+        copying = self._copying
+        for gap_start, gap_end, filled in self._filled.runs_in(
+                first, end - first):
+            if filled is not None:
+                continue
+            stretch = None
+            for block in range(gap_start, gap_end):
+                if block in copying:
+                    if stretch is None:
+                        stretch = block
+                elif stretch is not None:
+                    stretches.append((stretch, block))
+                    stretch = None
+            if stretch is not None:
+                stretches.append((stretch, gap_end))
+        return stretches
+
     @property
     def filled_count(self) -> int:
         return self._filled.total_covered()
@@ -215,9 +240,13 @@ class BlockBitmap:
         if not self.try_claim(block):
             return 0
         limit = min(block + max_blocks, self.block_count)
+        # ``block`` is unfilled, so the first tile is the gap it starts;
+        # the next FILLED run bounds the claim.
+        _, limit, _ = next(self._filled.runs_in(block, limit - block))
+        copying = self._copying
         cursor = block + 1
-        while cursor < limit and self.state(cursor) is BlockState.EMPTY:
-            self._copying.add(cursor)
+        while cursor < limit and cursor not in copying:
+            copying.add(cursor)
             if self.transition_listeners:
                 self._notify("claim", cursor, granted=True, state="empty")
             cursor += 1
@@ -299,16 +328,32 @@ class BlockBitmap:
                 self.dirty.set_range(overlap_start,
                                      overlap_end - overlap_start, True)
 
-    def writable_runs(self, block: int) -> list[tuple[int, int]]:
-        """(start, count) ranges of ``block`` the copier may write —
-        everything except guest-dirty sectors.  **The atomic check**: call
-        this immediately before the disk write."""
-        start, count = self.block_range(block)
-        return [
-            (run_start, run_end - run_start)
-            for run_start, run_end, value in self.dirty.runs_in(start, count)
-            if value is None
-        ]
+    def writable_runs(self, lba: int,
+                      sector_count: int) -> list[tuple[int, int]]:
+        """(start, count) ranges of ``[lba, lba+sector_count)`` the VMM
+        may write: every sector neither inside a FILLED block nor
+        guest-dirty.  **The atomic check**: call this immediately before
+        the disk write, under device ownership.
+
+        Each unfilled stretch of blocks is masked with one dirty-overlay
+        pass, so runs are cut only where a FILLED block or a dirty
+        range interrupts them, not at every block boundary.
+        """
+        end = lba + sector_count
+        first_block = self.block_of(lba)
+        end_block = self.block_of(end - 1) + 1
+        writable: list[tuple[int, int]] = []
+        for gap_start, gap_end, filled in self._filled.runs_in(
+                first_block, end_block - first_block):
+            if filled is not None:
+                continue
+            start = max(lba, gap_start * self.block_sectors)
+            stop = min(end, gap_end * self.block_sectors)
+            for run_start, run_end, dirty in self.dirty.runs_in(
+                    start, stop - start):
+                if dirty is None:
+                    writable.append((run_start, run_end - run_start))
+        return writable
 
     # -- persistence (paper: saved to an unused on-disk region) ---------------------------
 

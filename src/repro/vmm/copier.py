@@ -17,7 +17,6 @@ from __future__ import annotations
 from repro import params
 from repro.sim import Environment, Interrupt, Store
 from repro.storage.blockdev import BlockOp, BlockRequest, clip_runs
-from repro.vmm.bitmap import BlockState
 from repro.vmm.deploy import DeploymentContext
 from repro.vmm.mediator import DeviceMediator
 from repro.vmm.moderation import ModerationPolicy
@@ -276,32 +275,36 @@ class BackgroundCopier:
         disk transaction and commit it.
 
         THE atomic check (paper 3.3) runs once the mediator owns the
-        device: the revalidation masks out, per block, everything the
-        guest wrote or filled meanwhile — no later guest write can reach
-        the disk before ours anymore (it would be queued and replayed
-        after).  Afterwards each maximal still-COPYING stretch commits
-        through ``commit_fill_run``; blocks the guest fully overwrote
-        mid-write are the guest's and are skipped.
+        device: the revalidation keeps only the still-COPYING stretches
+        and masks out of them, once per stretch, every sector the guest
+        wrote meanwhile — no later guest write can reach the disk before
+        ours anymore (it would be queued and replayed after).  Afterwards
+        each maximal still-COPYING stretch commits through
+        ``commit_fill_run``; blocks the guest fully overwrote mid-write
+        are the guest's and are skipped.
         """
         bitmap = self.deployment.bitmap
         end_block = first_block + block_count
-        if not any(bitmap.state(block) is BlockState.COPYING
-                   for block in range(first_block, end_block)):
+        if not bitmap.copying_runs(first_block, end_block):
             # The guest overwrote every block while we fetched them;
             # its data is newer — drop ours.
             return
-        start = first_block * bitmap.block_sectors
-        count = min(block_count * bitmap.block_sectors,
+        block_sectors = bitmap.block_sectors
+        start = first_block * block_sectors
+        count = min(block_count * block_sectors,
                     bitmap.image_sectors - start)
         request = BlockRequest(BlockOp.WRITE, start, count, origin="vmm")
         request.buffer.runs = list(runs)
 
         def revalidate(pending: BlockRequest) -> list:
             clean: list = []
-            for block in range(first_block, end_block):
-                if bitmap.state(block) is not BlockState.COPYING:
-                    continue
-                for run_start, run_count in bitmap.writable_runs(block):
+            for stretch_start, stretch_stop in bitmap.copying_runs(
+                    first_block, end_block):
+                lba = stretch_start * block_sectors
+                sectors = min(stretch_stop * block_sectors,
+                              bitmap.image_sectors) - lba
+                for run_start, run_count in bitmap.writable_runs(lba,
+                                                                 sectors):
                     clean.extend(clip_runs(runs, run_start, run_count))
             return clean
 
@@ -312,35 +315,37 @@ class BackgroundCopier:
         self.bytes_written += written * params.SECTOR_BYTES
         self._m_bytes_written.inc(written * params.SECTOR_BYTES)
         cursor = first_block
-        while cursor < end_block:
-            state = bitmap.state(cursor)
-            if state is BlockState.FILLED:
-                # Claim vanished mid-write (guest full-block write was
-                # queued and recorded): the guest's replayed write lands
-                # after ours, so the disk still converges to the newest
-                # data.  Committing it would be a protocol violation.
-                cursor += 1
-                continue
-            if state is not BlockState.COPYING:
-                # EMPTY with our write completed means someone released
-                # our claim out from under us: a protocol bug, not the
-                # benign race above.
-                raise RuntimeError(
-                    f"copier lost its claim on block {cursor} "
-                    f"(state is {state.value!r} after write)")
-            commit_start = cursor
-            cursor += 1
-            while (cursor < end_block
-                   and bitmap.state(cursor) is BlockState.COPYING):
-                cursor += 1
-            bitmap.commit_fill_run(commit_start, cursor - commit_start)
-            for block in range(commit_start, cursor):
+        for stretch_start, stretch_stop in bitmap.copying_runs(
+                first_block, end_block):
+            self._check_guest_filled(cursor, stretch_start)
+            bitmap.commit_fill_run(stretch_start,
+                                   stretch_stop - stretch_start)
+            # Rate and progress are the same for every block of the
+            # stretch: one clock, one write, one range commit.
+            rate = self.write_rate()
+            self._m_progress.set(bitmap.filled_count / bitmap.block_count)
+            for block in range(stretch_start, stretch_stop):
                 self.deployment.note_block_filled(block)
                 self.blocks_filled += 1
                 self._m_blocks_filled.set(self.blocks_filled)
-                self._m_progress.set(bitmap.filled_count
-                                     / bitmap.block_count)
-                self._m_throughput.record(self.env.now, self.write_rate())
+                self._m_throughput.record(self.env.now, rate)
+            cursor = stretch_stop
+        self._check_guest_filled(cursor, end_block)
+
+    def _check_guest_filled(self, first_block: int, end_block: int):
+        """Blocks of a claimed run that are no longer COPYING after the
+        write must be FILLED: the guest's full-block write was queued
+        and recorded mid-write, and its replay lands after ours, so the
+        disk still converges to the newest data (committing them would
+        be a protocol violation).  EMPTY means someone released our
+        claim out from under us: a protocol bug, not that benign race.
+        """
+        bitmap = self.deployment.bitmap
+        for block in range(first_block, end_block):
+            if not bitmap.is_filled(block):
+                raise RuntimeError(
+                    f"copier lost its claim on block {block} "
+                    f"(state is {bitmap.state(block).value!r} after write)")
 
     def _do_writeback(self, lba: int, sector_count: int, runs: list):
         """Persist data fetched by copy-on-read.
@@ -357,19 +362,11 @@ class BackgroundCopier:
         request.buffer.runs = list(runs)
 
         def revalidate(pending: BlockRequest) -> list:
-            clean: list = []
-            cursor = lba
-            end = lba + sector_count
-            while cursor < end:
-                block = bitmap.block_of(cursor)
-                block_end = min((block + 1) * bitmap.block_sectors, end)
-                if not bitmap.is_filled(block):
-                    for start, stop, value in bitmap.dirty.runs_in(
-                            cursor, block_end - cursor):
-                        if value is None:
-                            clean.extend(clip_runs(runs, start, stop - start))
-                cursor = block_end
-            return clean
+            return [
+                clipped
+                for start, count in bitmap.writable_runs(lba, sector_count)
+                for clipped in clip_runs(runs, start, count)
+            ]
 
         with self.telemetry.profiler.track("copier", "write-back"):
             yield from self.mediator.vmm_request(request, revalidate)

@@ -152,9 +152,10 @@ def test_matches_naive_dict_model(ops):
             m.clear_range(start, length)
             for key in range(start, start + length):
                 model.pop(key, None)
+        # The running coverage count must track every mutation.
+        assert m.total_covered() == len(model)
     for key in range(0, 260):
         assert m.get(key) == model.get(key), f"mismatch at {key}"
-    assert m.total_covered() == len(model)
 
 
 @settings(max_examples=100, deadline=None)

@@ -132,7 +132,7 @@ def test_guest_write_during_copying_protects_sectors():
     bitmap = make_bitmap()
     assert bitmap.try_claim(0)
     bitmap.record_guest_write(100, 50)
-    runs = bitmap.writable_runs(0)
+    runs = bitmap.writable_runs(*bitmap.block_range(0))
     covered = sum(count for _, count in runs)
     assert covered == BLOCK_SECTORS - 50
     for start, count in runs:
@@ -192,6 +192,25 @@ def test_snapshot_restore_roundtrip():
     # COPYING state is transient and intentionally not persisted.
 
 
+def test_filled_count_survives_restore_and_load_snapshot():
+    bitmap = make_bitmap(8)
+    assert bitmap.claim_run(1, 3) == 3
+    bitmap.commit_fill_run(1, 3)
+    bitmap.record_guest_write(*bitmap.block_range(6))
+    snapshot = bitmap.snapshot()
+    restored = BlockBitmap.restore(snapshot)
+    assert restored.filled_count == bitmap.filled_count == 4
+    assert not restored.complete
+    # Loading over a bitmap with other fills replaces, not adds to, them.
+    other = make_bitmap(8)
+    for block in range(8):
+        other.record_guest_write(*other.block_range(block))
+    assert other.complete
+    other.load_snapshot(snapshot)
+    assert other.filled_count == 4
+    assert not other.complete
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(["fill", "write"]),
                           st.integers(0, 7),
@@ -226,7 +245,7 @@ def test_property_filled_blocks_never_writable_by_copier(ops):
             continue
         if not bitmap.try_claim(block):
             continue
-        for start, count in bitmap.writable_runs(block):
+        for start, count in bitmap.writable_runs(*bitmap.block_range(block)):
             for sector in range(start, start + count):
                 assert sector not in guest_written
         bitmap.release_claim(block)
@@ -318,3 +337,54 @@ def test_commit_fill_run_clears_dirty_overlay():
     bitmap.record_guest_write(3, 5)  # partial write inside block 0
     bitmap.commit_fill_run(0, 2)
     assert bitmap.dirty.covered_length(0, 2 * BLOCK_SECTORS) == 0
+
+
+@st.composite
+def claim_layouts(draw):
+    """A bitmap layout of FILLED/COPYING/EMPTY blocks plus a claim."""
+    blocks = draw(st.integers(1, 24))
+    states = draw(st.lists(st.sampled_from(["empty", "copying", "filled"]),
+                           min_size=blocks, max_size=blocks))
+    start = draw(st.integers(0, blocks - 1))
+    max_blocks = draw(st.integers(1, blocks + 2))
+    return states, start, max_blocks
+
+
+def _layout_bitmap(states):
+    bitmap = BlockBitmap(len(states) * BLOCK_SECTORS)
+    for block, state in enumerate(states):
+        if state == "filled":
+            bitmap.record_guest_write(*bitmap.block_range(block))
+        elif state == "copying":
+            assert bitmap.try_claim(block)
+    events = []
+    bitmap.transition_listeners.append(
+        lambda event, block, **details: events.append(
+            (event, block, tuple(sorted(details.items())))))
+    return bitmap, events
+
+
+@settings(max_examples=200, deadline=None)
+@given(claim_layouts())
+def test_claim_run_matches_per_block_reference(layout):
+    """``claim_run`` claims exactly the blocks, and sends exactly the
+    ``"claim"`` notifications, of a ``try_claim`` loop that stops at the
+    first non-EMPTY block (only the first block's refusal is tried, and
+    so notified and counted)."""
+    states, start, max_blocks = layout
+    bitmap, events = _layout_bitmap(states)
+    reference, reference_events = _layout_bitmap(states)
+    claimed = bitmap.claim_run(start, max_blocks)
+    expected = 0
+    for block in range(start, min(start + max_blocks, len(states))):
+        if block > start and reference.state(block) is not BlockState.EMPTY:
+            break
+        if not reference.try_claim(block):
+            break
+        expected += 1
+    assert claimed == expected
+    assert events == reference_events
+    for block in range(len(states)):
+        assert bitmap.state(block) is reference.state(block)
+    assert bitmap.copier_skips == reference.copier_skips
+    assert bitmap.double_claims == reference.double_claims

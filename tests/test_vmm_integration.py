@@ -199,6 +199,99 @@ def test_write_run_skips_device_when_guest_overwrote_whole_run():
     assert testbed.node.disk.contents.get(lba)[0] == guest.name
 
 
+def test_write_run_commits_around_a_guest_fill_mid_run():
+    # A coalesced 5-block run races the guest while in flight: the
+    # guest fully overwrites the middle block and partly writes the
+    # next.  The atomic check must keep every guest sector, land the
+    # image everywhere else, and commit the two stretches around the
+    # guest-filled block — notifying each committed block in order.
+    # The paced copier's first own write is a minute away, so only this
+    # run touches the blocks, the counters and the fill notifications.
+    testbed, vmm, guest = make_deployment(
+        "ahci", size_mb=32,
+        policy=ModerationPolicy(guest_io_threshold=float("inf"),
+                                write_interval=60.0))
+    env = testbed.env
+    bitmap = vmm.bitmap
+    block_sectors = bitmap.block_sectors
+    first = bitmap.block_count - 6
+    lba = first * block_sectors
+    count = 5 * block_sectors
+    commits = []
+    filled = []
+    original_commit = bitmap.commit_fill_run
+
+    def recording_commit(block, run_blocks):
+        commits.append((block, run_blocks))
+        original_commit(block, run_blocks)
+
+    def scenario():
+        yield from testbed.node.machine.power_on()
+        yield from testbed.node.machine.firmware.network_boot()
+        yield from vmm.boot()
+        assert bitmap.claim_run(first, 5) == 5
+        yield from guest.write(lba + 2 * block_sectors, block_sectors,
+                               tag="full")
+        yield from guest.write(lba + 3 * block_sectors + 100, 50,
+                               tag="partial")
+        bitmap.commit_fill_run = recording_commit
+        vmm.deployment.block_filled_listeners.append(filled.append)
+        before = vmm.copier.blocks_filled
+        yield from vmm.copier._write_run(
+            first, 5, list(testbed.image.contents.runs_in(lba, count)))
+        return vmm.copier.blocks_filled - before
+
+    newly_filled = env.run(until=env.process(scenario()))
+    assert commits == [(first, 2), (first + 3, 2)]
+    assert filled == [first, first + 1, first + 3, first + 4]
+    assert newly_filled == 4
+    for block in range(first, first + 5):
+        assert bitmap.state(block).value == "filled"
+    image_token = testbed.image.contents.get(lba)
+    for start, end, token in testbed.node.disk.contents.runs_in(lba,
+                                                                count):
+        span = end - start
+        if guest.written.covered_length(start, span) == span:
+            assert token[0] == guest.name
+        else:
+            assert guest.written.covered_length(start, span) == 0
+            assert token == image_token
+
+
+def test_write_run_raises_when_its_claim_is_released_mid_write():
+    # A claim released out from under an in-flight write is a protocol
+    # bug, not the benign guest race: the commit must refuse loudly.
+    testbed, vmm, guest = make_deployment(
+        "ahci", size_mb=32,
+        policy=ModerationPolicy(write_interval=50e-3))
+    env = testbed.env
+    bitmap = vmm.bitmap
+    block_sectors = bitmap.block_sectors
+    first = bitmap.block_count - 4
+    lba = first * block_sectors
+    count = 3 * block_sectors
+    original = vmm.mediator.vmm_request
+
+    def releasing(request, revalidate=None):
+        result = yield from original(request, revalidate)
+        bitmap.release_claim(first + 1)
+        return result
+
+    def scenario():
+        yield from testbed.node.machine.power_on()
+        yield from testbed.node.machine.firmware.network_boot()
+        yield from vmm.boot()
+        assert bitmap.claim_run(first, 3) == 3
+        vmm.mediator.vmm_request = releasing
+        with pytest.raises(RuntimeError,
+                           match=f"copier lost its claim on block "
+                                 f"{first + 1}"):
+            yield from vmm.copier._write_run(
+                first, 3, list(testbed.image.contents.runs_in(lba, count)))
+
+    env.run(until=env.process(scenario()))
+
+
 @pytest.mark.parametrize("controller", ["ide", "ahci", "megaraid"])
 def test_multiplexing_queues_and_replays_guest_commands(controller):
     testbed, vmm, guest = make_deployment(controller, size_mb=64)
