@@ -25,10 +25,12 @@ Commands:
   FSM spec checking, import cycles).
 * ``info``      — the calibrated testbed constants.
 
-``deploy`` and ``scaleout`` accept ``--sanitize`` to run with every
-runtime sanitizer attached (exit 1 on any violation), and ``deploy``
-accepts ``--replay-check`` to run the scenario twice and compare the
-event-stream digests.
+``deploy``, ``scaleout`` and ``ctl`` accept ``--sanitize`` to run with
+every runtime sanitizer attached (exit 1 on any violation); fluid
+deployments stay fluid under them.  ``deploy`` and ``ctl`` accept
+``--replay-check``: the command's own run is replay run 1, the same
+simulation runs once more, and the two event-stream digests are
+compared (2 runs in all, exit 1 on divergence).
 
 ``deploy`` and ``compare`` accept ``--metrics-out FILE`` to record the
 run with the :mod:`repro.obs` telemetry subsystem and export it — JSON
@@ -43,7 +45,8 @@ from __future__ import annotations
 import argparse
 
 from repro import params
-from repro.cloud.provisioner import METHODS, Provisioner
+from repro.cloud.cluster import Cluster
+from repro.cloud.provisioner import METHODS
 from repro.cloud.scenario import build_testbed
 from repro.ctl.demand import DEMANDS as CTL_DEMANDS
 from repro.ctl.placement import PLACEMENTS as CTL_PLACEMENTS
@@ -92,12 +95,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="attach the runtime sanitizers (BMcast); "
                         "exit 1 on any violation")
     deploy.add_argument("--replay-check", action="store_true",
-                        help="run the scenario twice and compare the "
-                        "event-stream digests; exit 1 on divergence")
+                        help="run this deployment a second time and "
+                        "compare the event-stream digests; exit 1 on "
+                        "divergence")
     deploy.add_argument("--fluid", action="store_true",
                         help="opt this deployment into the fluid-flow "
                         "fast path (BMcast; auto-demotes to packet "
-                        "mode under moderation/loss/p2p/sanitizers)")
+                        "mode under moderation/loss/p2p)")
     deploy.add_argument("--full-speed", action="store_true",
                         help="deploy with the unmoderated FULL_SPEED "
                         "policy (required for --fluid to engage)")
@@ -183,8 +187,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="attach the runtime sanitizers to every "
                      "deployment; exit 1 on any violation")
     ctl.add_argument("--replay-check", action="store_true",
-                     help="run the scenario twice and compare the "
-                     "event-stream digests; exit 1 on divergence")
+                     help="run this control loop a second time and "
+                     "compare the event-stream digests; exit 1 on "
+                     "divergence")
     ctl.add_argument("--fluid", action="store_true",
                      help="opt autoscaler deployments into the fluid-"
                      "flow fast path (auto-demotes per node when "
@@ -311,119 +316,161 @@ def _segments(timeline) -> str:
                      for label, seconds in timeline.segments)
 
 
-def _make_telemetry(args):
-    """(env, telemetry): a Telemetry when --metrics-out or --trace-out
-    was given (the latter arms the forensics layer too), otherwise the
-    zero-cost null object — the timeline is identical either way."""
-    env = Environment()
-    if getattr(args, "trace_out", None):
-        return env, Telemetry(env, forensics=True)
-    if getattr(args, "metrics_out", None):
-        return env, Telemetry(env)
-    return env, NULL_TELEMETRY
+def _make_telemetry(args, env, kind: str | None = None):
+    """The run's telemetry.  ``kind`` ("metrics" or "forensics") forces
+    one; otherwise --trace-out arms the forensics layer, --metrics-out
+    plain telemetry, and neither the zero-cost null object — the
+    timeline is identical either way."""
+    if kind is None:
+        if getattr(args, "trace_out", None):
+            kind = "forensics"
+        elif getattr(args, "metrics_out", None):
+            kind = "metrics"
+        else:
+            return NULL_TELEMETRY
+    return Telemetry(env, forensics=kind == "forensics")
 
 
-def _write_trace(telemetry, path, pid: int = 1,
-                 process_name: str = "repro") -> None:
+def _write_trace(telemetry, path, process_name: str) -> None:
     from repro.obs import write_chrome_trace
-    document = write_chrome_trace(telemetry, path, pid=pid,
+    document = write_chrome_trace(telemetry, path,
                                   process_name=process_name)
     print(f"chrome trace written to {path} "
           f"({len(document['traceEvents'])} events; open in "
           f"chrome://tracing or https://ui.perfetto.dev)")
 
 
-def cmd_deploy(args, print_summary: bool = False) -> int:
-    env, telemetry = _make_telemetry(args)
-    testbed = build_testbed(disk_controller=args.controller,
-                            image=_image(args.image_gb),
-                            server_count=getattr(args, "replicas", 1),
-                            p2p=getattr(args, "p2p", False),
-                            select_policy=getattr(args, "select_policy",
-                                                  "round-robin"),
-                            env=env, telemetry=telemetry)
-    provisioner = Provisioner(testbed)
-    options = {}
-    if getattr(args, "prefetch", False) and args.method == "bmcast":
-        options["prefetch_lbas"] = testbed.image.boot_lbas()
-    suite = None
-    if getattr(args, "sanitize", False):
-        if args.method != "bmcast":
-            print("--sanitize requires --method bmcast")
-            return 2
-        from repro.analysis import SanitizerSuite
-        suite = SanitizerSuite(env)
-        options["sanitizers"] = suite
-    if getattr(args, "fluid", False):
-        if args.method != "bmcast":
-            print("--fluid requires --method bmcast")
-            return 2
-        options["fluid"] = True
-    if getattr(args, "full_speed", False):
-        from repro.vmm.moderation import FULL_SPEED
-        options["policy"] = FULL_SPEED
-
-    instance = env.run(until=env.process(provisioner.deploy(
-        args.method, skip_firmware=not getattr(args, "cold", False),
-        **options)))
-    print(f"{args.method}: instance ready after "
-          f"{instance.timeline.total:.1f}s "
-          f"({_segments(instance.timeline)})")
-    if getattr(args, "fluid", False):
-        print(f"fluid mode: {instance.platform.fluid.describe()}")
-
-    platform = instance.platform
-    if args.wait and platform is not None and hasattr(platform, "copier"):
-        env.run(until=platform.copier.done)
-        env.run(until=env.now + 10.0)
-        print(f"deployment finished at t={env.now:.1f}s; "
-              f"phase={platform.phase}")
-        for key, value in platform.summary().items():
-            print(f"  {key}: {value}")
-    if print_summary and telemetry.enabled:
-        print()
-        print(telemetry.summary())
+def _export(args, telemetry, process_name: str) -> None:
+    """Write --metrics-out and --trace-out, when given."""
     if getattr(args, "metrics_out", None):
         telemetry.write(args.metrics_out)
         print(f"telemetry written to {args.metrics_out}")
     if getattr(args, "trace_out", None):
-        _write_trace(telemetry, args.trace_out,
-                     process_name=f"deploy:{args.method}")
-    status = 0
-    if suite is not None:
-        suite.finalize()
-        print(suite.describe())
-        if suite.violations:
-            status = 1
-    if getattr(args, "replay_check", False):
-        options.pop("sanitizers", None)
-        status = max(status, _replay_check(args, options))
-    return status
+        _write_trace(telemetry, args.trace_out, process_name)
 
 
-def _replay_check(args, deploy_options: dict) -> int:
-    """Run the deploy scenario twice and compare event streams.
+def _deploy_options(args, env):
+    """``(options, suite)``: the deploy options --sanitize, --fluid and
+    --full-speed ask for, and the attached sanitizer suite (or None)."""
+    options = {}
+    suite = None
+    if getattr(args, "sanitize", False):
+        from repro.analysis import SanitizerSuite
+        suite = options["sanitizers"] = SanitizerSuite(env)
+    if getattr(args, "fluid", False):
+        options["fluid"] = True
+    if getattr(args, "full_speed", False):
+        from repro.vmm.moderation import FULL_SPEED
+        options["policy"] = FULL_SPEED
+    return options, suite
 
-    ``deploy_options`` are the checked deploy's options (prefetch,
-    fluid, policy), so the replay runs the same deployment.
+
+def _sanitizer_status(suite) -> int:
+    """Finalize and print ``suite``; exit status 1 on any violation."""
+    if suite is None:
+        return 0
+    suite.finalize()
+    print(suite.describe())
+    return 1 if suite.violations else 0
+
+
+def _replayed(args, simulate) -> int:
+    """Run the command's simulation, print it, return the exit status.
+
+    ``simulate(recorder)`` builds a fresh environment, attaches
+    ``recorder`` when one is given, runs, and returns ``report``: a
+    zero-argument callable that prints the run and returns its exit
+    status.  With --replay-check the same closure runs twice and the
+    event-stream digests are compared, so the check replays exactly
+    the run the command reports.
     """
-    from repro.analysis import check_replay, deployment_scenario
-    policy = deploy_options.pop("policy", None)
-    scenario = deployment_scenario(
-        lambda: _image(args.image_gb),
+    if not args.replay_check:
+        return simulate(None)()
+    from repro.analysis import check_replay
+    reports = []
+    replay = check_replay(
+        lambda recorder: reports.append(simulate(recorder)))
+    status = reports[0]()
+    print(replay.describe())
+    return max(status, 1 if replay.divergent else 0)
+
+
+def _deploy_one(args, method: str, recorder=None,
+                telemetry_kind: str | None = None,
+                skip_firmware: bool = True, wait: bool = False):
+    """Deploy ``method`` onto a fresh one-node testbed built from ``args``.
+
+    The one deploy-and-wait runner behind ``deploy``, ``metrics``,
+    ``trace``, ``profile`` and ``compare``.  ``wait`` runs on until the
+    background copy finishes, plus a 1 s settle.  Returns
+    ``(cluster, telemetry, suite)``.
+    """
+    env = Environment()
+    telemetry = _make_telemetry(args, env, telemetry_kind)
+    options, suite = _deploy_options(args, env)
+    testbed = build_testbed(
+        disk_controller=getattr(args, "controller", "ahci"),
+        image=_image(args.image_gb),
         server_count=getattr(args, "replicas", 1),
         p2p=getattr(args, "p2p", False),
         select_policy=getattr(args, "select_policy", "round-robin"),
-        policy=policy, wait=getattr(args, "wait", False),
-        deploy_options=deploy_options)
-    report = check_replay(scenario, runs=2)
-    print(report.describe())
-    return 1 if report.divergent else 0
+        env=env, telemetry=telemetry)
+    if getattr(args, "prefetch", False) and method == "bmcast":
+        options["prefetch_lbas"] = testbed.image.boot_lbas()
+    if recorder is not None:
+        recorder.attach(env)
+    cluster = Cluster(testbed)
+
+    def run():
+        yield from cluster.deploy_all(method, skip_firmware=skip_firmware,
+                                      **options)
+        if wait:
+            yield from cluster.wait_deployment_complete(settle_seconds=1.0)
+
+    env.run(until=env.process(run()))
+    return cluster, telemetry, suite
+
+
+def _ready_line(instance) -> str:
+    return (f"{instance.method}: instance ready after "
+            f"{instance.timeline.total:.1f}s "
+            f"({_segments(instance.timeline)})")
+
+
+def cmd_deploy(args) -> int:
+    for flag in ("sanitize", "fluid"):
+        if getattr(args, flag) and args.method != "bmcast":
+            print(f"--{flag} requires --method bmcast")
+            return 2
+
+    def simulate(recorder):
+        cluster, telemetry, suite = _deploy_one(
+            args, args.method, recorder, skip_firmware=not args.cold,
+            wait=args.wait)
+
+        def report() -> int:
+            instance = cluster.instances[0]
+            platform = instance.platform
+            print(_ready_line(instance))
+            if args.fluid:
+                print(f"fluid mode: {platform.fluid.describe()}")
+            if args.wait and hasattr(platform, "copier"):
+                print(f"deployment finished at t={cluster.env.now:.1f}s; "
+                      f"phase={platform.phase}")
+                for key, value in platform.summary().items():
+                    print(f"  {key}: {value}")
+            _export(args, telemetry, f"deploy:{args.method}")
+            return _sanitizer_status(suite)
+
+        return report
+
+    return _replayed(args, simulate)
 
 
 def cmd_scaleout(args) -> int:
-    from repro.cloud import Cluster, WaveScheduler
-    env, telemetry = _make_telemetry(args)
+    from repro.cloud import WaveScheduler
+    env = Environment()
+    telemetry = _make_telemetry(args, env)
     testbed = build_testbed(node_count=args.nodes,
                             server_count=args.replicas,
                             p2p=args.p2p,
@@ -433,17 +480,7 @@ def cmd_scaleout(args) -> int:
     cluster = Cluster(testbed)
     scheduler = WaveScheduler(cluster, wave_size=args.wave_size,
                               seed_fill_fraction=args.seed_fill)
-    options = {}
-    suite = None
-    if getattr(args, "sanitize", False):
-        from repro.analysis import SanitizerSuite
-        suite = SanitizerSuite(env)
-        options["sanitizers"] = suite
-    if getattr(args, "fluid", False):
-        options["fluid"] = True
-    if getattr(args, "full_speed", False):
-        from repro.vmm.moderation import FULL_SPEED
-        options["policy"] = FULL_SPEED
+    options, suite = _deploy_options(args, env)
     env.run(until=env.process(scheduler.run("bmcast", **options)))
     if args.wait:
         env.run(until=env.process(
@@ -467,7 +504,7 @@ def cmd_scaleout(args) -> int:
         f"policy {args.select_policy}"))
     print(f"fleet ready in {scheduler.summary()['total_seconds']:.1f}s; "
           f"peers registered: {fabric['peers_registered']}")
-    if getattr(args, "fluid", False):
+    if args.fluid:
         states: dict = {}
         for instance in cluster.instances:
             state = instance.platform.fluid.describe()
@@ -475,90 +512,66 @@ def cmd_scaleout(args) -> int:
         print("fluid mode: " + ", ".join(
             f"{count}x {state}"
             for state, count in sorted(states.items())))
-    if getattr(args, "trace_out", None):
-        _write_trace(telemetry, args.trace_out, process_name="scaleout")
-    if suite is not None:
-        suite.finalize()
-        print(suite.describe())
-        if suite.violations:
-            return 1
-    return 0
+    _export(args, telemetry, "scaleout")
+    return _sanitizer_status(suite)
 
 
 def cmd_ctl(args) -> int:
     """Run the elastic control plane and print the run report."""
     from repro.ctl import (ElasticController, NodePool, TraceDemand,
                            dump_trace, load_trace)
-    env, telemetry = _make_telemetry(args)
-    testbed = build_testbed(node_count=args.nodes,
-                            server_count=args.replicas,
-                            p2p=args.p2p,
-                            image=_image(args.image_gb),
-                            env=env, telemetry=telemetry)
-    deploy_options = {}
-    suite = None
-    if args.sanitize:
-        from repro.analysis import SanitizerSuite
-        suite = SanitizerSuite(env)
-        deploy_options["sanitizers"] = suite
-    if getattr(args, "fluid", False):
-        deploy_options["fluid"] = True
-    pool = NodePool(testbed, vmxoff_mode=args.vmxoff_mode,
-                    deploy_options=deploy_options, telemetry=telemetry)
-    if args.demand_trace:
-        demand = TraceDemand(load_trace(args.demand_trace),
-                             seed=args.seed)
-    else:
-        demand = CTL_DEMANDS[args.demand](seed=args.seed)
-    controller = ElasticController(
-        pool, demand, CTL_POLICIES[args.policy](),
-        CTL_PLACEMENTS[args.placement](), tick=args.tick,
-        preserve_on_reclaim=not args.no_preserve, telemetry=telemetry)
-    env.run(until=env.process(controller.run(args.duration),
-                              name="ctl-loop"))
-    report = controller.report()
-    fleet = report.pop("fleet")
-    print(format_table(
-        ["metric", "value"],
-        [[key, value] for key, value in report.items()],
-        title=f"Elastic run: {args.nodes} nodes, "
-        f"policy {args.policy}, placement {args.placement}, "
-        f"demand {args.demand_trace or args.demand}"))
-    print("fleet at end: " + ", ".join(
-        f"{key}={value}" for key, value in fleet.items()))
-    if controller.decisions:
-        print("scale decisions:")
-        for when, target, provisioned, reason in controller.decisions:
-            print(f"  t={when:7.1f}s  {provisioned} -> {target}  "
-                  f"({reason})")
-    if args.dump_demand:
-        dump_trace(controller.requests, args.dump_demand)
-        print(f"demand trace written to {args.dump_demand}")
-    if args.metrics_out:
-        telemetry.write(args.metrics_out)
-        print(f"telemetry written to {args.metrics_out}")
-    if args.trace_out:
-        _write_trace(telemetry, args.trace_out, process_name="ctl")
-    status = 0
-    if suite is not None:
-        suite.finalize()
-        print(suite.describe())
-        if suite.violations:
-            status = 1
-    if args.replay_check:
-        from repro.analysis import check_replay
-        from repro.ctl import elasticity_scenario
-        scenario = elasticity_scenario(
-            lambda: _image(args.image_gb), node_count=args.nodes,
-            server_count=args.replicas, p2p=args.p2p,
-            policy_name=args.policy, placement_name=args.placement,
-            demand_name=args.demand, demand_seed=args.seed,
-            duration=args.duration, tick=args.tick,
-            vmxoff_mode=args.vmxoff_mode)
-        replay = check_replay(scenario, runs=2)
-        print(replay.describe())
-        status = max(status, 1 if replay.divergent else 0)
-    return status
+
+    def simulate(recorder):
+        env = Environment()
+        telemetry = _make_telemetry(args, env)
+        testbed = build_testbed(node_count=args.nodes,
+                                server_count=args.replicas,
+                                p2p=args.p2p,
+                                image=_image(args.image_gb),
+                                env=env, telemetry=telemetry)
+        if recorder is not None:
+            recorder.attach(env)
+        options, suite = _deploy_options(args, env)
+        pool = NodePool(testbed, vmxoff_mode=args.vmxoff_mode,
+                        deploy_options=options, telemetry=telemetry)
+        if args.demand_trace:
+            demand = TraceDemand(load_trace(args.demand_trace),
+                                 seed=args.seed)
+        else:
+            demand = CTL_DEMANDS[args.demand](seed=args.seed)
+        controller = ElasticController(
+            pool, demand, CTL_POLICIES[args.policy](),
+            CTL_PLACEMENTS[args.placement](), tick=args.tick,
+            preserve_on_reclaim=not args.no_preserve, telemetry=telemetry)
+        env.run(until=env.process(controller.run(args.duration),
+                                  name="ctl-loop"))
+
+        def report() -> int:
+            summary = controller.report()
+            fleet = summary.pop("fleet")
+            print(format_table(
+                ["metric", "value"],
+                [[key, value] for key, value in summary.items()],
+                title=f"Elastic run: {args.nodes} nodes, "
+                f"policy {args.policy}, placement {args.placement}, "
+                f"demand {args.demand_trace or args.demand}"))
+            print("fleet at end: " + ", ".join(
+                f"{key}={value}" for key, value in fleet.items()))
+            if controller.decisions:
+                print("scale decisions:")
+                for when, target, provisioned, reason \
+                        in controller.decisions:
+                    print(f"  t={when:7.1f}s  {provisioned} -> {target}  "
+                          f"({reason})")
+            if args.dump_demand:
+                dump_trace(controller.requests, args.dump_demand)
+                print(f"demand trace written to {args.dump_demand}")
+            _export(args, telemetry, "ctl")
+            return _sanitizer_status(suite)
+
+        return report
+
+    return _replayed(args, simulate)
 
 
 def cmd_lint(args) -> int:
@@ -587,18 +600,14 @@ def cmd_compare(args) -> int:
     rows = []
     exports = []
     for method in METHODS:
-        env, telemetry = _make_telemetry(args)
-        testbed = build_testbed(image=_image(args.image_gb),
-                                env=env, telemetry=telemetry)
-        provisioner = Provisioner(testbed)
         try:
-            instance = env.run(until=env.process(
-                provisioner.deploy(method, skip_firmware=True)))
+            cluster, telemetry, _ = _deploy_one(args, method)
         except Exception as error:  # e.g. unsupported OS for streaming
             rows.append([method, "-", str(error)])
             continue
-        rows.append([method, round(instance.timeline.total, 1),
-                     _segments(instance.timeline)])
+        timeline = cluster.instances[0].timeline
+        rows.append([method, round(timeline.total, 1),
+                     _segments(timeline)])
         if telemetry.enabled:
             exports.append((method, telemetry))
     print(format_table(["method", "ready (s)", "time spent on"], rows,
@@ -649,52 +658,25 @@ def _write_compare_metrics(path: str, exports) -> None:
 
 def cmd_metrics(args) -> int:
     """Deploy once with telemetry always on and print the summary."""
-    env = Environment()
-    telemetry = Telemetry(env)
-    testbed = build_testbed(disk_controller=args.controller,
-                            image=_image(args.image_gb),
-                            env=env, telemetry=telemetry)
-    provisioner = Provisioner(testbed)
-    instance = env.run(until=env.process(provisioner.deploy(
-        args.method, skip_firmware=True)))
-    platform = instance.platform
-    if args.wait and platform is not None and hasattr(platform, "copier"):
-        env.run(until=platform.copier.done)
-        env.run(until=env.now + 10.0)
+    _, telemetry, _ = _deploy_one(args, args.method,
+                                  telemetry_kind="metrics", wait=args.wait)
     print(telemetry.summary())
-    if args.metrics_out:
-        telemetry.write(args.metrics_out)
-        print(f"telemetry written to {args.metrics_out}")
+    _export(args, telemetry, f"deploy:{args.method}")
     return 0
 
 
-def _forensic_deploy(args, wait: bool = True):
-    """Deploy one instance with the forensics layer armed.
-
-    Returns ``(env, telemetry)`` after the deployment (and, for
-    methods with a background copier, the copy plus a settle window)
-    has run to completion.
-    """
-    env = Environment()
-    telemetry = Telemetry(env, forensics=True)
-    testbed = build_testbed(disk_controller=args.controller,
-                            image=_image(args.image_gb),
-                            env=env, telemetry=telemetry)
-    provisioner = Provisioner(testbed)
-    instance = env.run(until=env.process(provisioner.deploy(
-        args.method, skip_firmware=True)))
-    platform = instance.platform
-    if wait and platform is not None and hasattr(platform, "copier"):
-        env.run(until=platform.copier.done)
-        env.run(until=env.now + 10.0)
-    print(f"{args.method}: instance ready after "
-          f"{instance.timeline.total:.1f}s; run ended at "
-          f"t={env.now:.1f}s")
-    return env, telemetry
+def _forensic_deploy(args, wait: bool):
+    """Deploy with the forensics layer armed; returns the telemetry."""
+    cluster, telemetry, _ = _deploy_one(args, args.method,
+                                        telemetry_kind="forensics",
+                                        wait=wait)
+    print(f"{_ready_line(cluster.instances[0])}; run ended at "
+          f"t={cluster.env.now:.1f}s")
+    return telemetry
 
 
 def cmd_trace(args) -> int:
-    env, telemetry = _forensic_deploy(args, wait=args.wait)
+    telemetry = _forensic_deploy(args, wait=args.wait)
     _write_trace(telemetry, args.out,
                  process_name=f"deploy:{args.method}")
     if args.folded_out:
@@ -709,7 +691,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    env, telemetry = _forensic_deploy(args, wait=True)
+    telemetry = _forensic_deploy(args, wait=True)
     from repro.obs import format_profile, profile_report
     report = profile_report(telemetry, anchor=args.anchor)
     print()

@@ -109,10 +109,6 @@ class Provisioner:
             # Before boot: attaching late misses early guest writes and
             # the sanitizers would report phantom inconsistencies.
             sanitizers.attach_deployment(vmm, image=image)
-            # Sanitizers validate per-packet protocol behavior (claim
-            # replay, AoE conformance), which the analytic fluid path
-            # deliberately skips — force the exact path.
-            vmm.fluid.demote("sanitizers")
         self.telemetry.provenance.attach(vmm, node=node.machine.name)
         start = self.env.now
         boot_span = spans.start("vmm-netboot")

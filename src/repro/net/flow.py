@@ -28,9 +28,9 @@ and cancelled, which the pool contract forbids.
 hold port tx/rx locks, so concurrent *packet* traffic (redirected guest
 reads, command frames) neither queues behind a fluid stream nor slows
 one down.  Fidelity-bearing dynamics — moderation pacing, loss,
-NAK/retransmission, peer bitmap gossip, sanitizers — demote the
-deployment back to packet mode entirely (see :class:`FluidState`), so
-the envelope only ever covers steady-state bulk streaming.
+NAK/retransmission, peer bitmap gossip — demote the deployment back
+to packet mode entirely (see :class:`FluidState`), so the envelope
+only ever covers steady-state bulk streaming.
 """
 
 from __future__ import annotations
@@ -258,9 +258,9 @@ class FluidState:
     ``requested`` records the operator's opt-in; :meth:`engage` arms
     fluid transfers only if nothing has demoted the deployment first;
     :meth:`demote` (at arm time for static conditions — moderation
-    pacing, loss injection, peer gossip, sanitizers — or at runtime
-    when a NAK/timeout/retransmission shows the path is not in steady
-    state) switches back to packet mode *permanently* for this
+    pacing, loss injection, peer gossip — or at runtime when a
+    NAK/timeout/retransmission shows the path is not in steady state)
+    switches back to packet mode *permanently* for this
     deployment, so fidelity-bearing dynamics always run on the exact
     per-packet path.
     """

@@ -51,11 +51,13 @@ class UncheckedCopier(copier_module.BackgroundCopier):
                 pass
 
 
-def run_sanitized_race(copier_cls, write_count=24):
+def run_sanitized_race(copier_cls, fluid=False, write_count=24):
     """Racing-writes deployment with the full suite attached.
 
     Returns ``(suite, lost)`` where ``lost`` lists guest writes whose
     tokens no longer sit on disk (ground truth for the detector).
+    ``fluid`` opts the deployment into the fluid fast path, which must
+    stay active with the sanitizers attached.
     """
     image = OsImage(size_bytes=24 * MB, boot_read_bytes=1 * MB,
                     boot_think_seconds=0.2)
@@ -63,7 +65,8 @@ def run_sanitized_race(copier_cls, write_count=24):
     node = testbed.node
     env = testbed.env
     vmm = BmcastVmm(env, node.machine, node.vmm_nic, testbed.server_port,
-                    image_sectors=image.total_sectors, policy=FULL_SPEED)
+                    image_sectors=image.total_sectors, policy=FULL_SPEED,
+                    fluid=fluid)
     if copier_cls is not copier_module.BackgroundCopier:
         vmm.copier = copier_cls(env, vmm.deployment, vmm.mediator,
                                 policy=FULL_SPEED)
@@ -87,6 +90,8 @@ def run_sanitized_race(copier_cls, write_count=24):
 
     env.run(until=env.process(scenario()))
     env.run(until=env.now + 5.0)
+    if fluid:
+        assert vmm.fluid.describe() == "active"
     disk = node.disk.contents
     lost = [lba for lba, token in writes.items()
             if disk.get(lba) != token]
@@ -94,15 +99,17 @@ def run_sanitized_race(copier_cls, write_count=24):
     return suite, lost
 
 
-def test_clean_racing_deploy_reports_nothing():
-    suite, lost = run_sanitized_race(copier_module.BackgroundCopier)
+@pytest.mark.parametrize("fluid", [False, True], ids=["packet", "fluid"])
+def test_clean_racing_deploy_reports_nothing(fluid):
+    suite, lost = run_sanitized_race(copier_module.BackgroundCopier, fluid)
     assert lost == []
     suite.assert_clean()
     assert len(suite.sanitizers) == 3
 
 
-def test_write_race_detector_catches_unchecked_copier():
-    suite, lost = run_sanitized_race(UncheckedCopier)
+@pytest.mark.parametrize("fluid", [False, True], ids=["packet", "fluid"])
+def test_write_race_detector_catches_unchecked_copier(fluid):
+    suite, lost = run_sanitized_race(UncheckedCopier, fluid)
     assert lost, "the ablation should actually lose writes"
     rules = {violation.rule for violation in suite.violations}
     assert "vmm-overwrote-guest" in rules

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.analysis import check_replay, deployment_scenario
@@ -95,11 +97,25 @@ def test_deploy_sanitized(capsys):
     assert "sanitizers: clean" in out
 
 
+def _digest(out: str) -> str:
+    return re.search(r"digest ([0-9a-f]{16})", out).group(1)
+
+
 def test_deploy_replay_check(capsys):
     assert main(["deploy", "--method", "bmcast", "--image-gb", "0.0625",
                  "--replay-check"]) == 0
     out = capsys.readouterr().out
     assert "runs identical" in out
+    plain = _digest(out)
+    # The replay is the command's own run, so every option that changes
+    # the run changes the digest.
+    for option in (["--method", "image-copy"], ["--controller", "ide"],
+                   ["--cold"]):
+        assert main(["deploy", "--image-gb", "0.0625", "--replay-check",
+                     *option]) == 0
+        out = capsys.readouterr().out
+        assert "runs identical" in out
+        assert _digest(out) != plain, option
     # The replay must run the deployment that was checked: a fluid
     # full-speed deploy is replayed as one, not as a moderated packet
     # deploy.
@@ -111,6 +127,15 @@ def test_deploy_replay_check(capsys):
         lambda: _image(0.0625), policy=FULL_SPEED, wait=False,
         deploy_options={"fluid": True}))
     assert f"digest {expected.digests[0][:16]}" in out
+    # Sanitizers keep a fluid deploy fluid and leave its events alone:
+    # the sanitized run has the unsanitized run's digest.
+    assert main(["deploy", "--image-gb", "0.0625", "--fluid",
+                 "--full-speed", "--wait", "--sanitize",
+                 "--replay-check"]) == 0
+    out = capsys.readouterr().out
+    assert "fluid mode: active" in out
+    assert "sanitizers: clean" in out
+    assert "digest 9e623d590a2e58c3" in out
 
 
 def test_scaleout_sanitized(capsys):

@@ -1,6 +1,8 @@
 """Tests for repro.ctl: FSM, demand models, policies, placement,
 the controller loop, and the ``ctl`` CLI subcommand."""
 
+import re
+
 import pytest
 
 from repro.aoe.client import AoeInitiator
@@ -316,17 +318,25 @@ def test_cli_ctl_demand_trace_round_trip(tmp_path, capsys):
     trace = tmp_path / "demand.json"
     assert main(["ctl", "--nodes", "2", "--demand", "flash-crowd",
                  "--duration", "1200", "--image-gb", "0.03125",
-                 "--dump-demand", str(trace)]) == 0
+                 "--dump-demand", str(trace), "--replay-check"]) == 0
     first = capsys.readouterr().out
     assert trace.exists()
     assert main(["ctl", "--nodes", "2", "--demand-trace", str(trace),
-                 "--duration", "1200", "--image-gb", "0.03125"]) == 0
+                 "--duration", "1200", "--image-gb", "0.03125",
+                 "--replay-check"]) == 0
     second = capsys.readouterr().out
 
     def decisions(text):
         lines = text.splitlines()
         start = lines.index("scale decisions:")
         return [line for line in lines[start:]
-                if "demand trace written" not in line]
+                if "demand trace written" not in line
+                and not line.startswith("replay:")]
+
+    def digest(text):
+        return re.search(r"runs identical .*digest ([0-9a-f]{16})",
+                         text).group(1)
 
     assert decisions(first) == decisions(second)
+    # The trace run replays itself, not the synthetic flash crowd.
+    assert digest(first) != digest(second)

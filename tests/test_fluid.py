@@ -267,23 +267,30 @@ def test_peer_gossip_demotes_fluid():
         == "demoted(peer-gossip)"
 
 
-def test_sanitizers_demote_fluid():
-    from repro.analysis import SanitizerSuite
+def test_sanitizers_keep_fluid_active():
+    # The sanitizers watch per-block claim/commit transitions and
+    # milestone consistency, which the fluid path produces as the
+    # packet path does: a sanitized fluid deploy stays fluid, stays
+    # clean, and pops the very events of the unsanitized run.
+    from repro.analysis import ReplayRecorder, SanitizerSuite
+    options = {"fluid": True, "initial_rto": 2.0}
     env = Environment()
     testbed = build_testbed(node_count=1, image=_image(32), env=env)
+    recorder = ReplayRecorder().attach(env)
     suite = SanitizerSuite(env)
     cluster = Cluster(testbed)
 
-    def scenario():
+    def run():  # named like deployment_scenario's process (digested)
         yield from cluster.deploy_all("bmcast", policy=FULL_SPEED,
-                                      fluid=True, initial_rto=2.0,
-                                      sanitizers=suite)
+                                      sanitizers=suite, **options)
         yield from cluster.wait_deployment_complete(settle_seconds=1.0)
 
-    env.run(until=env.process(scenario()))
-    assert cluster.instances[0].platform.fluid.describe() \
-        == "demoted(sanitizers)"
+    env.run(until=env.process(run()))
+    assert cluster.instances[0].platform.fluid.describe() == "active"
     suite.assert_clean()
+    unsanitized = check_replay(deployment_scenario(
+        lambda: _image(32), policy=FULL_SPEED, deploy_options=options))
+    assert recorder.digest() == unsanitized.digests[0]
 
 
 def test_fluid_fetches_bypass_rto_machinery():
