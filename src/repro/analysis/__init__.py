@@ -34,6 +34,7 @@ from repro.analysis.replay import (
     ReplayReport,
     check_replay,
     deployment_scenario,
+    outcome_digest,
 )
 from repro.analysis.sanitizers import (
     Sanitizer,
@@ -68,4 +69,5 @@ __all__ = [
     "deployment_scenario",
     "lint_paths",
     "lint_source",
+    "outcome_digest",
 ]

@@ -9,6 +9,13 @@ compares digests across runs.  Any wall-clock read, unseeded RNG
 draw, or iteration over an unordered container with nondeterministic
 order shows up as a digest mismatch — with the event count narrowing
 down where the streams parted.
+
+The event digest changes whenever an event is added or dropped, even
+when nothing simulated changed.  The *outcome digest*
+(:func:`outcome_digest`) hashes only what the simulated cloud did —
+disk contents, bitmaps, phase logs, ready/complete/de-virtualization
+times and the public counters — so a change that only removes empty
+events (poll elision) must keep it byte for byte.
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ class ReplayRecorder:
     def __init__(self):
         self._hash = hashlib.blake2b(digest_size=16)
         self.events = 0
+        #: :func:`outcome_digest` of the run, once the scenario records it.
+        self.outcome: str | None = None
 
     def attach(self, env) -> "ReplayRecorder":
         if env.trace_hook is not None:
@@ -39,29 +48,121 @@ class ReplayRecorder:
     def digest(self) -> str:
         return self._hash.hexdigest()
 
+    def record_outcome(self, testbed, controller=None) -> str:
+        """Hash what ``testbed``'s finished run did (see
+        :func:`outcome_digest`) and keep it as :attr:`outcome`."""
+        self.outcome = outcome_digest(testbed, controller)
+        return self.outcome
+
+
+def outcome_digest(testbed, controller=None) -> str:
+    """BLAKE2 digest of what the simulated cloud did.
+
+    Per node: the disk contents, the bus/CPU/disk counters and, for the
+    node's latest instance, its ready time and — for a BMcast VMM — the
+    bitmap snapshot, the phase log, the copy-complete and
+    de-virtualization times and the VMM's public counters.  Then the
+    fabric-wide network, flow, server and directory counters, and, when
+    an elastic ``controller`` is given, its requests, decisions and
+    reclaim latencies.  Event and process counts are left out on
+    purpose: they measure the simulator, not the cloud.
+    """
+    records: list = []
+    for node in testbed.nodes:
+        machine = node.machine
+        records.append((
+            machine.name, node.disk.content_digest(),
+            machine.total_vm_exits(),
+            [cpu.exit_seconds for cpu in machine.cpus],
+            machine.bus.intercepted_accesses, machine.bus.direct_accesses,
+            node.disk.requests_served, node.disk.busy_seconds,
+            node.disk.seek_seconds, node.controller.commands_executed))
+        instance = node.instance
+        if instance is not None:
+            records.append((instance.method, instance.timeline.power_on,
+                            instance.timeline.ready))
+            if hasattr(instance.platform, "copier"):
+                records.append(_vmm_outcome(instance.platform))
+    switch = testbed.switch
+    flows = switch.flow_network
+    nics = [nic for node in testbed.nodes
+            for nic in (node.guest_nic, node.vmm_nic, node.peer_nic)
+            if nic is not None]
+    nics += [server.nic for server in testbed.servers]
+    records.append((
+        switch.frames_forwarded, switch.bytes_forwarded,
+        switch.loss.dropped, [nic.rx_dropped for nic in nics],
+        flows.flows_started, flows.resolves, flows.bytes_transferred,
+        [server.commands_served for server in testbed.servers],
+        testbed.fabric.directory.invalidations
+        if testbed.fabric is not None else None))
+    if controller is not None:
+        pool = controller.pool
+        records.append((controller.requests, controller.decisions,
+                        controller.scale_ups, controller.scale_downs,
+                        [record.reclaims for record in pool.nodes],
+                        pool.reclaim_latencies, pool.fluid_deploys))
+    data = repr(records).encode("utf-8")
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
+
+def _vmm_outcome(vmm) -> tuple:
+    copier = vmm.copier
+    mediator = vmm.mediator
+    initiator = vmm.initiator
+    router = vmm.router
+    peer = vmm.peer_service
+    return (
+        vmm.phase_log, vmm.bitmap.snapshot(),
+        vmm.devirtualizer.completed_at,
+        copier.started_at, copier.finished_at, copier.blocks_filled,
+        copier.bytes_written, copier.writeback_bytes, copier.suspensions,
+        copier.fetch_errors, mediator.interpreted_commands,
+        mediator.redirected_reads, mediator.multiplexed_requests,
+        mediator.queued_guest_commands, mediator.dummy_completions,
+        vmm.bitmap.copier_skips, vmm.bitmap.double_claims,
+        initiator.reads_completed, initiator.writes_completed,
+        initiator.retransmissions,
+        (router.peer_hits, router.peer_misses)
+        if router is not None else None,
+        peer.naks_sent if peer is not None else None)
+
 
 @dataclass(frozen=True)
 class ReplayReport:
-    """Digests and event counts from ``runs`` executions."""
+    """Digests and event counts from ``runs`` executions.
+
+    ``outcomes`` holds each run's outcome digest, or ``None`` for a
+    run whose scenario recorded none.
+    """
 
     digests: tuple
     event_counts: tuple
+    outcomes: tuple = ()
 
     @property
     def divergent(self) -> bool:
-        return len(set(self.digests)) > 1
+        return len(set(self.digests)) > 1 or len(set(self.outcomes)) > 1
 
     def describe(self) -> str:
         if not self.divergent:
             return (f"replay: {len(self.digests)} runs identical "
                     f"({self.event_counts[0]} events, "
-                    f"digest {self.digests[0][:16]})")
+                    f"digest {self.digests[0][:16]}"
+                    f"{_outcome_note(self.outcomes[:1])})")
         lines = ["replay: DIVERGENT runs"]
         lines.extend(
             f"  run {index}: {count} events, digest {digest[:16]}"
+            f"{_outcome_note(self.outcomes[index:index + 1])}"
             for index, (digest, count)
             in enumerate(zip(self.digests, self.event_counts)))
         return "\n".join(lines)
+
+
+def _outcome_note(outcomes: tuple) -> str:
+    if not outcomes or outcomes[0] is None:
+        return ""
+    return f", outcome {outcomes[0][:16]}"
 
 
 def check_replay(scenario, runs: int = 2) -> ReplayReport:
@@ -74,14 +175,15 @@ def check_replay(scenario, runs: int = 2) -> ReplayReport:
     """
     if runs < 2:
         raise ValueError("a replay check needs at least 2 runs")
-    digests = []
-    counts = []
+    recorders = []
     for _ in range(runs):
         recorder = ReplayRecorder()
         scenario(recorder)
-        digests.append(recorder.digest())
-        counts.append(recorder.events)
-    return ReplayReport(tuple(digests), tuple(counts))
+        recorders.append(recorder)
+    return ReplayReport(
+        tuple(recorder.digest() for recorder in recorders),
+        tuple(recorder.events for recorder in recorders),
+        tuple(recorder.outcome for recorder in recorders))
 
 
 def deployment_scenario(image_factory, node_count: int = 1,
@@ -141,5 +243,6 @@ def deployment_scenario(image_factory, node_count: int = 1,
                     settle_seconds=1.0)
 
         testbed.env.run(until=testbed.env.process(run()))
+        recorder.record_outcome(testbed)
 
     return scenario

@@ -29,8 +29,8 @@ Commands:
 every runtime sanitizer attached (exit 1 on any violation); fluid
 deployments stay fluid under them.  ``deploy`` and ``ctl`` accept
 ``--replay-check``: the command's own run is replay run 1, the same
-simulation runs once more, and the two event-stream digests are
-compared (2 runs in all, exit 1 on divergence).
+simulation runs once more, and the two runs' event-stream and
+outcome digests are compared (2 runs in all, exit 1 on divergence).
 
 ``deploy`` and ``compare`` accept ``--metrics-out FILE`` to record the
 run with the :mod:`repro.obs` telemetry subsystem and export it — JSON
@@ -96,8 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "exit 1 on any violation")
     deploy.add_argument("--replay-check", action="store_true",
                         help="run this deployment a second time and "
-                        "compare the event-stream digests; exit 1 on "
-                        "divergence")
+                        "compare the event-stream and outcome digests; "
+                        "exit 1 on divergence")
     deploy.add_argument("--fluid", action="store_true",
                         help="opt this deployment into the fluid-flow "
                         "fast path (BMcast; auto-demotes to packet "
@@ -188,8 +188,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      "deployment; exit 1 on any violation")
     ctl.add_argument("--replay-check", action="store_true",
                      help="run this control loop a second time and "
-                     "compare the event-stream digests; exit 1 on "
-                     "divergence")
+                     "compare the event-stream and outcome digests; "
+                     "exit 1 on divergence")
     ctl.add_argument("--fluid", action="store_true",
                      help="opt autoscaler deployments into the fluid-"
                      "flow fast path (auto-demotes per node when "
@@ -381,8 +381,8 @@ def _replayed(args, simulate) -> int:
     ``recorder`` when one is given, runs, and returns ``report``: a
     zero-argument callable that prints the run and returns its exit
     status.  With --replay-check the same closure runs twice and the
-    event-stream digests are compared, so the check replays exactly
-    the run the command reports.
+    event-stream and outcome digests are compared, so the check
+    replays exactly the run the command reports.
     """
     if not args.replay_check:
         return simulate(None)()
@@ -447,6 +447,8 @@ def cmd_deploy(args) -> int:
         cluster, telemetry, suite = _deploy_one(
             args, args.method, recorder, skip_firmware=not args.cold,
             wait=args.wait)
+        if recorder is not None:
+            recorder.record_outcome(cluster.testbed)
 
         def report() -> int:
             instance = cluster.instances[0]
@@ -545,6 +547,8 @@ def cmd_ctl(args) -> int:
             preserve_on_reclaim=not args.no_preserve, telemetry=telemetry)
         env.run(until=env.process(controller.run(args.duration),
                                   name="ctl-loop"))
+        if recorder is not None:
+            recorder.record_outcome(testbed, controller)
 
         def report() -> int:
             summary = controller.report()

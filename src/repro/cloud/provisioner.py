@@ -65,6 +65,7 @@ class Provisioner:
                                       **options)
         timeline.ready = self.env.now
         spans.end(deploy_span, ready_seconds=timeline.total)
+        node.instance = instance
         return instance
 
     # -- bare metal (pre-installed local disk) -----------------------------------------

@@ -37,6 +37,9 @@ class TestbedNode:
     ib_hca: IbHca | None = None
     #: Switch port for the node's peer chunk service (p2p fabrics only).
     peer_nic: Nic | None = None
+    #: The most recent instance deployed onto this node (set by the
+    #: provisioner; a redeploy replaces it).
+    instance: object = None
 
 
 @dataclass

@@ -300,5 +300,6 @@ def elasticity_scenario(image_factory, node_count: int = 6,
             tick=tick, telemetry=telemetry)
         env.run(until=env.process(controller.run(duration),
                                   name="ctl-loop"))
+        recorder.record_outcome(testbed, controller)
 
     return scenario

@@ -152,6 +152,10 @@ class Disk:
         runs = list(self.contents.runs_in(lba, sector_count))
         return content_digest(runs)
 
+    def content_digest(self) -> str:
+        """Digest of everything on the platters (see :meth:`content_hash`)."""
+        return content_digest(self.contents.runs())
+
     @property
     def head_lba(self) -> int:
         return self._head_lba

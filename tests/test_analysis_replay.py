@@ -3,7 +3,8 @@ cross-run shared state (the bug class it exists for) is caught."""
 
 import pytest
 
-from repro.analysis import ReplayRecorder, check_replay, deployment_scenario
+from repro.analysis import (ReplayRecorder, ReplayReport, check_replay,
+                            deployment_scenario)
 from repro.guest.osimage import OsImage
 from repro.sim import Environment
 
@@ -73,3 +74,30 @@ def test_trace_hook_sees_every_popped_event():
     env.run(until=env.process(process()))
     assert recorder.events == env.events_processed
     assert recorder.events > 0
+
+
+def test_outcome_digest_is_recorded_and_printed():
+    report = check_replay(deployment_scenario(_image), runs=2)
+    outcome = report.outcomes[0]
+    assert outcome is not None and outcome == report.outcomes[1]
+    assert f"outcome {outcome[:16]}" in report.describe()
+
+
+def test_outcome_digest_tracks_results_not_events():
+    plain = check_replay(deployment_scenario(_image), runs=2)
+    # The reference scheduler pops the same stream: same outcome.
+    reference = check_replay(deployment_scenario(_image, fast_lane=False),
+                             runs=2)
+    assert reference.outcomes[0] == plain.outcomes[0]
+    # A different image is a different result.
+    other = check_replay(deployment_scenario(
+        lambda: OsImage(size_bytes=8 * MB, boot_read_bytes=1 * MB,
+                        boot_think_seconds=0.2, seed=7)), runs=2)
+    assert other.outcomes[0] != plain.outcomes[0]
+
+
+def test_outcome_mismatch_alone_is_divergence():
+    report = ReplayReport(("a" * 32, "a" * 32), (5, 5),
+                          ("b" * 32, "c" * 32))
+    assert report.divergent
+    assert "outcome cccccccccccccccc" in report.describe()
