@@ -21,6 +21,7 @@ from repro.sim.events import (
     Condition,
     Event,
     Interrupt,
+    Signal,
     SimulationError,
     Timeout,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "Process",
     "Request",
     "Resource",
+    "Signal",
     "SimulationError",
     "StopSimulation",
     "Store",

@@ -16,6 +16,10 @@ total-order key either way.  ``Environment(fast_lane=False)`` forces the
 pure-heap reference scheduler; the replay-equality tests compare the two
 digests byte for byte.
 
+Condition polls go through :meth:`Environment.poll_until`, which pops
+only the ticks that can find the condition true (see its docstring and
+``docs/performance.md``, *Poll elision*).
+
 Cancellation is lazy: ``cancel(event)`` marks the event and the run loop
 discards it when it surfaces, so cancelling costs O(1) instead of a heap
 re-build.  ``peek`` prunes cancelled heads so ``run(until=time)`` never
@@ -143,6 +147,38 @@ class Environment:
         """Create an event firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
+    def timeout_at(self, at: float, value=None) -> Timeout:
+        """A :class:`Timeout` firing at the absolute time ``at`` (>= now).
+
+        ``now + (at - now)`` need not equal ``at`` in floats, so a tick
+        computed on a poll grid must be scheduled by its absolute time.
+        """
+        return Timeout(self, at - self._now, value, at=at)
+
+    def poll_until(self, done, period: float, wake):
+        """Generator: ``while not done(): yield self.timeout(period)``,
+        without popping the ticks that find nothing.
+
+        ``wake()`` returns an event that fires **no later than** the
+        first instant ``done()`` can turn true (early is fine, late
+        changes the simulation), or ``None`` to poll the next tick.
+        After it fires, the caller's grid advances by the same repeated
+        ``tick += period`` the loop would have done, and ``done()`` is
+        re-checked on the first tick at or after now, scheduled at that
+        absolute time.  The CPU cost of the skipped ticks is the
+        caller's to account (the VMM charges its polling exits in bulk).
+        """
+        tick = self._now
+        while not done():
+            event = wake()
+            if event is not None:
+                yield event
+            now = self._now
+            tick += period
+            while tick < now:
+                tick += period
+            yield self.timeout_at(tick)
+
     def pooled_timeout(self, delay: float, value=None) -> Timeout:
         """A :class:`Timeout` recycled through a per-environment pool.
 
@@ -197,9 +233,12 @@ class Environment:
     # -- scheduling and the run loop ----------------------------------------
 
     def schedule(self, event: Event, priority: int = PRIORITY_NORMAL,
-                 delay: float = 0.0) -> None:
-        """Put a triggered event onto the queue ``delay`` seconds from now."""
-        at = self._now + delay
+                 delay: float = 0.0, at: float | None = None) -> None:
+        """Put a triggered event onto the queue ``delay`` seconds from now
+        (at the absolute time ``at`` when given; ``delay`` must then be
+        ``at - now``)."""
+        if at is None:
+            at = self._now + delay
         entry = (at, priority, next(self._eid), event)
         if delay == 0.0 and self.fast_lane:
             if priority == 1:

@@ -129,7 +129,8 @@ class Timeout(Event):
 
     __slots__ = ("_delay", "_pooled")
 
-    def __init__(self, env: "Environment", delay: float, value=None):
+    def __init__(self, env: "Environment", delay: float, value=None,
+                 at: float | None = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         super().__init__(env)
@@ -138,10 +139,36 @@ class Timeout(Event):
         self._pooled = False
         self._ok = True
         self._value = value
-        env.schedule(self, delay=delay)
+        env.schedule(self, delay=delay, at=at)
 
     def __repr__(self):
         return f"<Timeout delay={self._delay} at {hex(id(self))}>"
+
+
+class Signal:
+    """A re-armable wake-up source for :meth:`Environment.poll_until`.
+
+    :meth:`event` hands a waiter the pending event to yield, creating
+    it on first use; :meth:`notify` fires it and disarms.  A notify that
+    nobody waits for costs no event.
+    """
+
+    __slots__ = ("env", "_event")
+
+    def __init__(self, env: "Environment"):
+        self.env = env
+        self._event: Event | None = None
+
+    def event(self) -> Event:
+        if self._event is None:
+            self._event = Event(self.env)
+        return self._event
+
+    def notify(self) -> None:
+        event = self._event
+        if event is not None:
+            self._event = None
+            event.succeed()
 
 
 class ConditionValue:

@@ -113,6 +113,8 @@ class AhciController:
         self.ghc = 0
 
         self._active_slots: set[int] = set()
+        #: Slot -> the process that last ran a command in it.
+        self._slot_process: dict = {}
         #: Origin stamped onto decoded requests.  The controller cannot
         #: tell who programmed it; the device mediator sets this to
         #: "vmm" for the duration of its own raw commands so disk-level
@@ -181,6 +183,15 @@ class AhciController:
     def busy(self) -> bool:
         return bool(self._active_slots)
 
+    def in_flight(self):
+        """The process of a command still running, or ``None`` when the
+        port is idle.  It fires when that command completes, so a
+        mediator waiting for the port to drain waits on it instead of
+        polling every tick."""
+        if not self._active_slots:
+            return None
+        return self._slot_process[min(self._active_slots)]
+
     def free_slot(self) -> int | None:
         """Lowest command slot not currently issued (mediator uses this)."""
         for slot in range(COMMAND_SLOTS):
@@ -200,8 +211,8 @@ class AhciController:
             if new_slots & (1 << slot):
                 self._active_slots.add(slot)
                 self.pxtfd |= TFD_BSY
-                self.env.process(self._run_slot(slot),
-                                 name=f"ahci-slot{slot}")
+                self._slot_process[slot] = self.env.process(
+                    self._run_slot(slot), name=f"ahci-slot{slot}")
 
     def _run_slot(self, slot: int):
         header = self._command_header(slot)

@@ -232,6 +232,16 @@ class IdeController:
     def busy(self) -> bool:
         return bool(self.status & STATUS_BSY)
 
+    def in_flight(self):
+        """The running command's process, or ``None`` (idle, or a DMA
+        command still waiting for its bus-master start).  BSY clears
+        only when that process ends, so a mediator waits on it instead
+        of polling every tick."""
+        process = self._active_process
+        if process is not None and process.is_alive:
+            return process
+        return None
+
     # -- command execution -----------------------------------------------------------
 
     def _start_command(self, command: int) -> None:

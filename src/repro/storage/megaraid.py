@@ -74,7 +74,8 @@ class MegaRaidController:
         self.mmio_base = mmio_base
         self.irq_line = irq_line
 
-        self.outstanding: set[int] = set()
+        #: Context -> the process running that frame.
+        self.outstanding: dict = {}
         self._completions: deque[int] = deque()
         self._doorbell = False
         #: Origin stamped onto decoded requests.  The controller cannot
@@ -122,6 +123,15 @@ class MegaRaidController:
     def busy(self) -> bool:
         return bool(self.outstanding)
 
+    def in_flight(self, context: int | None = None):
+        """The process running frame ``context`` (any outstanding frame
+        when ``None``), or ``None``.  It fires when the frame's reply is
+        queued, so a mediator waits on it instead of polling every
+        tick."""
+        if context is None:
+            return next(iter(self.outstanding.values()), None)
+        return self.outstanding.get(context)
+
     def peek_completions(self) -> tuple:
         return tuple(self._completions)
 
@@ -140,9 +150,8 @@ class MegaRaidController:
             raise TypeError("inbound queue entry is not an MFI frame")
         if frame.context in self.outstanding:
             raise ValueError(f"context {frame.context} already in flight")
-        self.outstanding.add(frame.context)
-        self.env.process(self._run_frame(frame),
-                         name=f"megaraid-ctx{frame.context}")
+        self.outstanding[frame.context] = self.env.process(
+            self._run_frame(frame), name=f"megaraid-ctx{frame.context}")
 
     def _run_frame(self, frame: MfiFrame):
         request = decode_frame(frame)
@@ -160,7 +169,7 @@ class MegaRaidController:
             buffer.sector_count = request.sector_count
             yield from self.disk.execute(request)
         self.commands_executed += 1
-        self.outstanding.discard(frame.context)
+        del self.outstanding[frame.context]
         self._completions.append(frame.context)
         self._doorbell = True
         self.interrupts_raised += 1

@@ -216,8 +216,9 @@ class BmcastVmm:
             raise RuntimeError(f"cannot shut down from {self.phase!r}")
         self.copier.stop()
         # Let any in-flight mediation settle.
-        while not self.mediator.quiescent:
-            yield self.env.timeout(1e-3)
+        yield from self.env.poll_until(
+            lambda: self.mediator.quiescent, 1e-3,
+            self.mediator.quiescence_wake)
         yield from self.persist_bitmap()
         if self.peer_service is not None:
             self.peer_service.stop()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro import params
 from repro.aoe.client import AoeInitiator
 from repro.obs.telemetry import NULL_TELEMETRY
-from repro.sim import Environment
+from repro.sim import Environment, Signal
 from repro.storage.blockdev import BlockOp
 from repro.vmm.bitmap import BlockBitmap
 
@@ -83,8 +83,18 @@ class DeploymentContext:
 
         #: Copy-on-read write-back queue consumed by the copier's writer.
         self.writeback_queue: deque = deque()
+        #: Wakes the copier's idle threads: notified on a write-back
+        #: enqueue, a FIFO put, and a bitmap fill (by the copier or by a
+        #: guest write) or claim release.
+        self.copy_work = Signal(env)
+        bitmap.guest_write_listeners.append(self._on_guest_write)
 
     # -- guest telemetry -------------------------------------------------------
+
+    def _on_guest_write(self, lba: int, sector_count: int) -> None:
+        # A whole-block guest write fills the block, which can complete
+        # the image under an idle copier.
+        self.copy_work.notify()
 
     def note_guest_io(self, op: BlockOp, lba: int | None = None) -> None:
         now = self.env.now
@@ -128,6 +138,7 @@ class DeploymentContext:
                           runs: list) -> None:
         """Hand fetched data to the copier for persistence to local disk."""
         self.writeback_queue.append((lba, sector_count, runs))
+        self.copy_work.notify()
 
     def pop_writeback(self, max_sectors: int = 2048):
         """Pop the oldest write-back, coalescing LBA-adjacent successors.

@@ -11,6 +11,7 @@ disables ``PxIE`` so the guest never sees the VMM's completions.
 
 from __future__ import annotations
 
+from repro.sim import Signal
 from repro.storage import ahci
 from repro.storage.blockdev import BlockOp, BlockRequest, SectorBuffer
 from repro.storage.ide import CMD_READ_DMA_EXT, CMD_WRITE_DMA_EXT
@@ -39,6 +40,7 @@ class AhciMediator(DeviceMediator):
         # Redirect bookkeeping.
         self._blocked_slot: int | None = None
         self._blocked_request: BlockRequest | None = None
+        self._unblocked = Signal(env)
         # Device-produced state captured at VMM takeover (an unacked
         # PxIS completion the guest is still owed).
         self._saved_pxis = 0
@@ -70,14 +72,19 @@ class AhciMediator(DeviceMediator):
     # -- the intercept hook -----------------------------------------------------------
 
     def _hook(self, access):
+        """Only a ``PxCI`` write can block (it may start a redirect);
+        every other register is interpreted with a plain call, so the
+        access costs the exit and nothing more."""
         self._m_intercepts.inc()
         offset = access.address - self.controller.abar
-        if access.is_write:
-            yield from self._hook_write(access, offset)
+        if not access.is_write:
+            self._hook_read(access, offset)
+        elif offset == ahci.REG_PXCI:
+            yield from self._on_command_issue(access, access.value)
         else:
-            yield from self._hook_read(access, offset)
+            self._hook_write(access, offset)
 
-    def _hook_write(self, access, offset: int):
+    def _hook_write(self, access, offset: int) -> None:
         value = access.value
         owned = self.mode is MediatorMode.VMM_OWNED
 
@@ -99,12 +106,8 @@ class AhciMediator(DeviceMediator):
                 # does not resurrect an acked completion.
                 access.absorb = True
                 self._saved_pxis &= ~value
-        elif offset == ahci.REG_PXCI:
-            yield from self._on_command_issue(access, value)
-            return
-        yield self.env.timeout(0)
 
-    def _hook_read(self, access, offset: int):
+    def _hook_read(self, access, offset: int) -> None:
         if self.mode is MediatorMode.VMM_OWNED:
             # Emulate the guest's view: its commands appear in flight,
             # the VMM's activity is invisible.
@@ -124,7 +127,6 @@ class AhciMediator(DeviceMediator):
                 access.reply = real | (1 << self._blocked_slot)
             elif offset == ahci.REG_PXTFD:
                 access.reply = 0x50 | ahci.TFD_BSY
-        yield self.env.timeout(0)
 
     # -- guest command handling -------------------------------------------------------------
 
@@ -177,18 +179,23 @@ class AhciMediator(DeviceMediator):
                 else:
                     yield from self.protect_access(request)
             finally:
-                self._blocked_slot = None
-                self._blocked_request = None
+                self._release_blocked()
         yield self.env.timeout(0)
 
     def _claim_blocked(self, slot: int, request: BlockRequest):
         """Serialize redirect contexts: hooks are re-entrant across guest
         processes (AHCI allows concurrent slots), but the engine serves
         one blocked command at a time."""
-        while self._blocked_slot is not None:
-            yield self.env.timeout(self.deployment.poll_interval)
+        yield from self.env.poll_until(
+            lambda: self._blocked_slot is None,
+            self.deployment.poll_interval, self._unblocked.event)
         self._blocked_slot = slot
         self._blocked_request = request
+
+    def _release_blocked(self) -> None:
+        self._blocked_slot = None
+        self._blocked_request = None
+        self._unblocked.notify()
 
     def _decode_slot(self, slot: int) -> BlockRequest | None:
         """I/O interpretation: walk the guest's command structures."""
@@ -233,8 +240,8 @@ class AhciMediator(DeviceMediator):
     def _device_done(self) -> bool:
         return not self.controller.pxci & 1 and not self.controller.busy
 
-    def _device_busy(self) -> bool:
-        return self.controller.busy or bool(self.controller.pxci)
+    def _device_idle(self) -> bool:
+        return not self.controller.busy and not self.controller.pxci
 
     def _ack_device(self) -> None:
         # Clear the completion the VMM's request left behind.
@@ -304,8 +311,7 @@ class AhciMediator(DeviceMediator):
                     else:
                         yield from self.protect_access(request)
                 finally:
-                    self._blocked_slot = None
-                    self._blocked_request = None
+                    self._release_blocked()
             else:
                 forward_mask |= (1 << slot)
         if forward_mask:

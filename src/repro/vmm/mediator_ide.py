@@ -7,6 +7,7 @@ redirect / multiplex primitives on top of the raw controller registers.
 
 from __future__ import annotations
 
+from repro.sim import Signal
 from repro.storage import ide
 from repro.storage.blockdev import BlockOp, BlockRequest, SectorBuffer
 from repro.vmm.mediator import (DeviceMediator, MediatorMode,
@@ -49,6 +50,7 @@ class IdeMediator(DeviceMediator):
         # Redirect bookkeeping: command absorbed, waiting for BM start.
         self._blocked: BlockRequest | None = None
         self._blocked_kind: str | None = None
+        self._unblocked = Signal(env)
         # Device status captured at VMM takeover: the guest may still be
         # owed a completion (unacked IRQ bit); its ISR must see it.
         self._saved_status = ide.STATUS_DRDY
@@ -75,35 +77,34 @@ class IdeMediator(DeviceMediator):
     # -- the intercept hook (runs on every guest access, in root mode) ------------------
 
     def _hook(self, access):
+        """Only a command write, or the bus-master start of a blocked
+        command, can block; every other port is interpreted with a plain
+        call, so the access costs the exit and nothing more."""
         self._m_intercepts.inc()
-        if access.is_write:
-            yield from self._hook_write(access)
-        else:
-            yield from self._hook_read(access)
+        if not access.is_write:
+            self._hook_read(access)
+        elif access.address == ide.REG_COMMAND:
+            yield from self._on_guest_command(access, access.value)
+        elif self._hook_write(access):
+            yield from self._launch_blocked()
+            yield self.env.timeout(0)
 
-    def _hook_write(self, access):
+    def _hook_write(self, access) -> bool:
+        """Interpret a non-command port write; True when it is the
+        bus-master start of the blocked command (absorbed, to be
+        served)."""
         port, value = access.address, access.value
         owned = self.mode is MediatorMode.VMM_OWNED
 
-        if port in ide.TASKFILE_PORTS and port != ide.REG_COMMAND:
+        if port in ide.TASKFILE_PORTS:
             self.shadow_taskfile.write(port, value)
             if owned:
                 access.absorb = True
-            yield self.env.timeout(0)
-            return
-
-        if port == ide.REG_COMMAND:
-            yield from self._on_guest_command(access, value)
-            return
-
-        if port == ide.BM_PRDT:
+        elif port == ide.BM_PRDT:
             self.shadow_bm_prdt = value
             if owned:
                 access.absorb = True
-            yield self.env.timeout(0)
-            return
-
-        if port == ide.BM_COMMAND:
+        elif port == ide.BM_COMMAND:
             previous = self.shadow_bm_command
             self.shadow_bm_command = value
             if owned:
@@ -113,23 +114,16 @@ class IdeMediator(DeviceMediator):
                     and self._blocked is not None:
                 # The start of a blocked command: absorb and act.
                 access.absorb = True
-                yield from self._launch_blocked()
-            yield self.env.timeout(0)
-            return
+                return True
+        elif port == ide.BM_STATUS and owned:
+            # Apply the guest's write-1-to-clear ack to the saved view
+            # so restore does not resurrect an acked interrupt.
+            access.absorb = True
+            if value & ide.BM_STATUS_IRQ:
+                self._saved_bm_status &= ~ide.BM_STATUS_IRQ
+        return False
 
-        if port == ide.BM_STATUS:
-            if owned:
-                # Apply the guest's write-1-to-clear ack to the saved
-                # view so restore does not resurrect an acked interrupt.
-                access.absorb = True
-                if value & ide.BM_STATUS_IRQ:
-                    self._saved_bm_status &= ~ide.BM_STATUS_IRQ
-            yield self.env.timeout(0)
-            return
-
-        yield self.env.timeout(0)
-
-    def _hook_read(self, access):
+    def _hook_read(self, access) -> None:
         port = access.address
         if self.mode is MediatorMode.VMM_OWNED:
             # Emulate the state the guest last saw (idle, but with any
@@ -151,7 +145,6 @@ class IdeMediator(DeviceMediator):
                 access.reply = ide.STATUS_BSY | ide.STATUS_DRDY
             elif port == ide.BM_STATUS:
                 access.reply = ide.BM_STATUS_ACTIVE
-        yield self.env.timeout(0)
 
     # -- guest command handling -----------------------------------------------------------
 
@@ -184,8 +177,9 @@ class IdeMediator(DeviceMediator):
             # redirect / protect: block the command until BM start, then
             # serve it ourselves.  (IDE is single-outstanding, but a
             # replayed redirect can overlap a fresh hook: serialize.)
-            while self._blocked is not None:
-                yield self.env.timeout(self.deployment.poll_interval)
+            yield from self.env.poll_until(
+                lambda: self._blocked is None,
+                self.deployment.poll_interval, self._unblocked.event)
             self._blocked = request
             self._blocked_kind = action
         yield self.env.timeout(0)
@@ -202,6 +196,7 @@ class IdeMediator(DeviceMediator):
         finally:
             self._blocked = None
             self._blocked_kind = None
+            self._unblocked.notify()
 
     # -- primitives used by the base engine -------------------------------------------------
 
@@ -235,8 +230,8 @@ class IdeMediator(DeviceMediator):
         return (not self.controller.busy
                 and bool(self.controller.bm_status & ide.BM_STATUS_IRQ))
 
-    def _device_busy(self) -> bool:
-        return self.controller.busy
+    def _device_idle(self) -> bool:
+        return not self.controller.busy
 
     def _ack_device(self) -> None:
         self.controller.pio_write(ide.BM_STATUS, ide.BM_STATUS_IRQ)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from itertools import count
 
+from repro.sim import Signal
 from repro.storage import megaraid
 from repro.storage.blockdev import BlockOp, BlockRequest, SectorBuffer
 from repro.vmm.mediator import (DeviceMediator, MediatorMode,
@@ -43,6 +44,7 @@ class MegaRaidMediator(DeviceMediator):
         # Redirect bookkeeping: the blocked frame (absorbed post).
         self._blocked_frame: megaraid.MfiFrame | None = None
         self._blocked_address: int | None = None
+        self._unblocked = Signal(env)
         self._dummy_buffer = SectorBuffer(0, 65536)
         self._dummy_address = machine.hostmem.allocate(self._dummy_buffer)
         self._vmm_frame_address: int | None = None
@@ -65,23 +67,20 @@ class MegaRaidMediator(DeviceMediator):
     # -- the intercept hook --------------------------------------------------------------
 
     def _hook(self, access):
+        """Only a frame post can block (it may start a redirect); every
+        other register is interpreted with a plain call, so the access
+        costs the exit and nothing more."""
         self._m_intercepts.inc()
         offset = access.address - self.controller.mmio_base
-        if access.is_write:
-            yield from self._hook_write(access, offset)
-        else:
-            yield from self._hook_read(access, offset)
-
-    def _hook_write(self, access, offset: int):
-        owned = self.mode is MediatorMode.VMM_OWNED
-        if offset == megaraid.REG_INBOUND_QUEUE:
+        if not access.is_write:
+            self._hook_read(access, offset)
+        elif offset == megaraid.REG_INBOUND_QUEUE:
             yield from self._on_guest_post(access, access.value)
-            return
-        if offset == megaraid.REG_DOORBELL_CLEAR and owned:
+        elif offset == megaraid.REG_DOORBELL_CLEAR \
+                and self.mode is MediatorMode.VMM_OWNED:
             access.absorb = True
-        yield self.env.timeout(0)
 
-    def _hook_read(self, access, offset: int):
+    def _hook_read(self, access, offset: int) -> None:
         if self.mode is MediatorMode.VMM_OWNED:
             if offset == megaraid.REG_STATUS:
                 # Emulate idle firmware, surfacing only guest replies.
@@ -98,7 +97,6 @@ class MegaRaidMediator(DeviceMediator):
             elif offset == megaraid.REG_OUTBOUND_REPLY:
                 access.reply = self._pop_guest_reply()
                 access.absorb = True
-        yield self.env.timeout(0)
 
     def _guest_reply_pending(self) -> bool:
         return any(context < VMM_CONTEXT_BASE
@@ -142,15 +140,20 @@ class MegaRaidMediator(DeviceMediator):
             else:
                 yield from self.protect_access(request)
         finally:
-            self._blocked_frame = None
-            self._blocked_address = None
+            self._release_blocked()
 
     def _claim_blocked(self, frame, frame_address: int):
         """Serialize redirect contexts across re-entrant hook calls."""
-        while self._blocked_frame is not None:
-            yield self.env.timeout(self.deployment.poll_interval)
+        yield from self.env.poll_until(
+            lambda: self._blocked_frame is None,
+            self.deployment.poll_interval, self._unblocked.event)
         self._blocked_frame = frame
         self._blocked_address = frame_address
+
+    def _release_blocked(self) -> None:
+        self._blocked_frame = None
+        self._blocked_address = None
+        self._unblocked.notify()
 
     # -- primitives used by the base engine ------------------------------------------------------
 
@@ -180,8 +183,13 @@ class MegaRaidMediator(DeviceMediator):
         return context is not None \
             and context in self.controller.peek_completions()
 
-    def _device_busy(self) -> bool:
-        return self.controller.busy
+    def _device_idle(self) -> bool:
+        return not self.controller.busy
+
+    def _done_wake(self):
+        # Done tracks the VMM's own frame, which may finish before the
+        # guest frames posted beside it: wait on that frame alone.
+        return self.controller.in_flight(self._vmm_context_inflight)
 
     def _ack_device(self) -> None:
         if self._vmm_context_inflight is not None:
@@ -235,8 +243,7 @@ class MegaRaidMediator(DeviceMediator):
                 try:
                     yield from self.protect_access(request)
                 finally:
-                    self._blocked_frame = None
-                    self._blocked_address = None
+                    self._release_blocked()
                 return
             if (request.op is BlockOp.READ
                     and request.lba < bitmap.image_sectors
@@ -246,8 +253,7 @@ class MegaRaidMediator(DeviceMediator):
                 try:
                     yield from self.redirect(request)
                 finally:
-                    self._blocked_frame = None
-                    self._blocked_address = None
+                    self._release_blocked()
                 return
         yield from self._wait_device_idle()
         self.controller.mmio_write(

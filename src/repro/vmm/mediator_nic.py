@@ -156,6 +156,11 @@ class NicMediator:
                 and all(owner[0] != "vmm"
                         for owner in self._tx_owner.values()))
 
+    def quiescence_wake(self) -> None:
+        """No wake source: the VMM transmit queue drains on poll-loop
+        ticks, so a de-virtualization waiting on it polls every tick."""
+        return None
+
     # -- the intercept hook -----------------------------------------------------------
 
     def _hook(self, access):
