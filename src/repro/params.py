@@ -189,6 +189,11 @@ IMAGE_COPY_RESTART_SECONDS = 145.0
 #: Background copy block size (paper 5.6: 1024 KB).
 COPY_BLOCK_BYTES = 1024 * 2**10
 
+#: Backoff before a VMM fetch that exhausted its AoE retries (server
+#: unreachable) is tried again.  Copier and redirect both stall and
+#: retry rather than fail the deployment.
+FETCH_RETRY_BACKOFF_SECONDS = 2.0
+
 # --------------------------------------------------------------------------
 # Background-copy moderation defaults (Section 3.3's three parameters)
 # --------------------------------------------------------------------------
