@@ -139,6 +139,17 @@ def test_deploy_replay_check(capsys):
     assert "digest f31adc9f3af7aa6a" in out
     # What the run did is pinned apart from how many events it took.
     assert "outcome 108b81c6e7300956" in out
+    # Each disk controller's mediator is pinned the same way.
+    for controller, digest, outcome in (
+            ("ahci", "5d6661b767ade2e6", "1dda4c3493e2a697"),
+            ("ide", "86b6fce91aea304e", "5af50f1d746a9051"),
+            ("megaraid", "f4c0c4534a372b79", "c76e0bf4fa5e590e")):
+        assert main(["deploy", "--method", "bmcast", "--image-gb", "0.0625",
+                     "--controller", controller, "--wait",
+                     "--replay-check"]) == 0
+        out = capsys.readouterr().out
+        assert f"digest {digest}" in out, controller
+        assert f"outcome {outcome}" in out, controller
 
 
 def test_scaleout_sanitized(capsys):
