@@ -20,9 +20,11 @@ device done is simulated.  The ticks in between cost the CPU one
 preemption-timer exit each, and the VMM accounts those in bulk
 (``BmcastVmm._account_polling_exits``) rather than as events.
 
-This module holds everything device-independent; the IDE and AHCI
-subclasses add register-level mechanics only — which is why the paper's
-mediators are so much smaller than device drivers.
+This module holds everything device-independent: the routing decision,
+the one-blocked-command protocol, redirection, multiplexing and queue
+replay.  The per-controller subclasses add register-level mechanics
+only, which is why the paper's mediators are so much smaller than
+device drivers.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ def register_mediator(kind: str):
         if kind in MEDIATOR_CLASSES:
             raise ValueError(f"mediator for {kind!r} already registered")
         MEDIATOR_CLASSES[kind] = cls
+        cls.controller_kind = kind
         return cls
     return decorator
 
@@ -75,7 +78,13 @@ def mediator_for(env, machine, deployment):
 class DeviceMediator:
     """Device-independent mediation engine.
 
-    Subclasses implement the register-level primitives:
+    A subclass is registered for one controller kind with
+    :func:`register_mediator`, and its hooks hand each interpreted guest
+    command to :meth:`classify`.  A command classified ``"redirect"`` or
+    ``"protect"`` is served through :meth:`serve_blocked`; one
+    classified ``"queue"`` goes to :meth:`queue_guest_command` and comes
+    back through ``_replay_guest_command``, which re-routes it with
+    :meth:`route`.  Subclasses implement the register-level primitives:
 
     * ``_install_intercepts()`` / ``_uninstall_intercepts()``
     * ``_guest_buffer()`` -> the DMA buffer of the blocked guest command
@@ -85,17 +94,36 @@ class DeviceMediator:
     * ``_ack_device()`` -> clear device completion state (root mode)
     * ``_save_guest_registers()`` / ``_restore_guest_registers()``
     * ``_deliver_dummy_completion()`` -> restart the blocked guest command
-      as a dummy-sector read so the device interrupts for real
-    * ``_replay_guest_command(snapshot)`` -> reissue a queued command
+      as a one-sector read of the dummy buffer so the device interrupts
+      for real
+    * ``_replay_guest_command(snapshot)`` -> re-route a queued command,
+      reissuing it to the device when it passes
     """
+
+    #: The controller kind this mediator drives (set by
+    #: :func:`register_mediator`).
+    controller_kind: str
 
     def __init__(self, env: Environment, machine,
                  deployment: DeploymentContext):
+        controller = machine.disk_controller
+        if controller.kind != self.controller_kind:
+            raise TypeError(f"{type(self).__name__} requires a "
+                            f"{self.controller_kind} controller")
         self.env = env
         self.machine = machine
+        self.controller = controller
+        self.irq_line = controller.irq_line
         self.deployment = deployment
         self.mode = MediatorMode.PASSTHROUGH
         self.installed = False
+        #: The blocked context (see :meth:`serve_blocked`), or None.
+        self.blocked = None
+        self._unblocked = Signal(env)
+        #: Where a restarted guest read lands: the dummy completion reads
+        #: one sector of the dummy LBA into it.
+        self._dummy_buffer = SectorBuffer(0, 65536)
+        self._dummy_address = machine.hostmem.allocate(self._dummy_buffer)
         #: Notified wherever :attr:`quiescent` may turn true: the device
         #: lock released, or a queued command taken for replay.
         self._settled = Signal(env)
@@ -115,9 +143,7 @@ class DeviceMediator:
         # Labeled telemetry, shared through the deployment context.
         self.telemetry = deployment.telemetry
         registry = self.telemetry.registry
-        controller = machine.disk_controller
-        kind = controller.kind if controller is not None else "none"
-        self.controller_kind = kind
+        kind = self.controller_kind
         self._m_interpreted = registry.counter(
             "mediator_interpreted_commands_total", controller=kind,
             help="guest commands decoded from register traffic")
@@ -139,6 +165,10 @@ class DeviceMediator:
         self._m_multiplex_latency = registry.histogram(
             "vmm_multiplexed_request_seconds", controller=kind,
             help="lock-to-release time of a VMM multiplexed request")
+        #: Every trapped guest register access: the raw interpretation
+        #: workload (paper Table 1's "I/O interpretation" cost driver).
+        self._m_intercepts = registry.counter(
+            "mediator_io_intercepts_total", controller=kind)
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -179,18 +209,21 @@ class DeviceMediator:
 
     # -- classification of interpreted guest commands ---------------------------------
 
-    def classify(self, request: BlockRequest) -> str:
-        """Decide what to do with an interpreted guest command.
+    def classify(self, request: BlockRequest | None) -> str:
+        """Decide what to do with a freshly interpreted guest command:
+        its :meth:`route`, or ``"queue"`` while the VMM owns the device.
 
-        Returns one of ``"pass"``, ``"redirect"``, ``"queue"``,
-        ``"protect"``.
+        ``None`` is a non-data command (IDENTIFY, FLUSH...): irrelevant
+        to deployment, but it still cannot reach an owned device.
         """
+        if request is None:
+            return "queue" if self.mode is MediatorMode.VMM_OWNED \
+                else "pass"
         self.interpreted_commands += 1
         self._m_interpreted.inc()
         self.deployment.note_guest_io(request.op, request.lba)
-        is_protected = self.deployment.overlaps_protected(
-            request.lba, request.sector_count)
-        if request.op is BlockOp.WRITE and not is_protected:
+        action = self.route(request)
+        if request.op is BlockOp.WRITE and action == "pass":
             # Record the write NOW, before any queueing decision: a
             # write absorbed during VMM ownership lands on the disk only
             # at replay, but the bitmap must already protect it from the
@@ -199,15 +232,24 @@ class DeviceMediator:
                                                       request.sector_count)
         if self.mode is MediatorMode.VMM_OWNED:
             return "queue"
-        if is_protected:
+        return action
+
+    def route(self, request: BlockRequest | None) -> str:
+        """The copy-on-read decision for a guest command, fresh or
+        replayed: ``"protect"`` (it touches the bitmap save region),
+        ``"redirect"`` (it reads sectors not yet local) or ``"pass"``
+        (also for a non-data command, ``None``).  Has no side effects."""
+        if request is None:
+            return "pass"
+        deployment = self.deployment
+        if deployment.overlaps_protected(request.lba, request.sector_count):
             return "protect"
         if request.op is BlockOp.WRITE:
             return "pass"
+        bitmap = deployment.bitmap
         # Reads beyond the image are ordinary disk traffic.
-        if request.lba >= self.deployment.bitmap.image_sectors:
-            return "pass"
-        if self.deployment.bitmap.sectors_local(request.lba,
-                                                request.sector_count):
+        if request.lba >= bitmap.image_sectors \
+                or bitmap.sectors_local(request.lba, request.sector_count):
             return "pass"
         return "redirect"
 
@@ -215,6 +257,40 @@ class DeviceMediator:
         self._queued_commands.append(snapshot)
         self.queued_guest_commands += 1
         self._m_queued.inc()
+
+    # -- the blocked guest command ------------------------------------------------------
+
+    def serve_blocked(self, context, request: BlockRequest, action: str):
+        """Generator: serve a guest command routed to ``"redirect"`` or
+        ``"protect"`` as the blocked command.  ``context`` is whatever the
+        subclass's primitives need to find that command again (a command
+        slot, a frame address); it is :attr:`blocked` meanwhile."""
+        yield from self._claim_blocked(context)
+        try:
+            yield from self.serve(request, action)
+        finally:
+            self._release_blocked()
+
+    def serve(self, request: BlockRequest, action: str):
+        """Generator: redirect the read or protect the bitmap region."""
+        if action == "redirect":
+            yield from self.redirect(request)
+        else:
+            yield from self.protect_access(request)
+
+    def _claim_blocked(self, context):
+        """Generator: wait until no guest command is blocked, then block
+        ``context``.  Hooks are re-entrant across guest processes (AHCI
+        allows concurrent slots, and a replay can overlap a fresh hook),
+        but the engine serves one blocked command at a time."""
+        yield from self.env.poll_until(
+            lambda: self.blocked is None,
+            self.deployment.poll_interval, self._unblocked.event)
+        self.blocked = context
+
+    def _release_blocked(self) -> None:
+        self.blocked = None
+        self._unblocked.notify()
 
     # -- I/O redirection (copy-on-read) ---------------------------------------------------
 
@@ -254,8 +330,7 @@ class DeviceMediator:
                 self.deployment.enqueue_writeback(
                     request.lba, request.sector_count, server_runs)
                 # 5. Make the real device interrupt: dummy-sector restart.
-                self.dummy_completions += 1
-                self._deliver_dummy_completion()
+                self._complete_with_dummy()
                 self.redirected_reads += 1
                 self._m_redirected.inc()
             finally:
@@ -375,7 +450,7 @@ class DeviceMediator:
         # while the VMM owns the device, commands are the VMM's.  The
         # device lock guarantees no guest command executes inside this
         # window (queued ones replay after restore, as the guest).
-        controller = self.machine.disk_controller
+        controller = self.controller
         controller.request_origin = "vmm"
         try:
             self._issue_to_device(request, buffer)
@@ -394,7 +469,7 @@ class DeviceMediator:
         """The device is idle only once every command executing now has
         completed, so the completion of any one of them is a wake that
         is never late."""
-        return self.machine.disk_controller.in_flight()
+        return self.controller.in_flight()
 
     def _done_wake(self):
         """Wake for :meth:`_device_done`.  Where done implies idle the
@@ -421,13 +496,18 @@ class DeviceMediator:
             buffer.lba = request.lba
             buffer.sector_count = request.sector_count
             buffer.fill_constant(None)
-        self.dummy_completions += 1
-        self._deliver_dummy_completion()
+        self._complete_with_dummy()
         yield self.env.timeout(0)
 
-    # -- subclass responsibilities ------------------------------------------------------------
+    def _complete_with_dummy(self) -> None:
+        """Restart the blocked guest command as a one-sector read of the
+        dummy LBA into the dummy buffer, so the device completes it."""
+        self.dummy_completions += 1
+        self._dummy_buffer.lba = self.deployment.dummy_lba
+        self._dummy_buffer.sector_count = 1
+        self._deliver_dummy_completion()
 
-    irq_line: int = 0
+    # -- subclass responsibilities ------------------------------------------------------------
 
     def _install_intercepts(self) -> None:
         raise NotImplementedError

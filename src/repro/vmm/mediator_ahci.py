@@ -11,7 +11,6 @@ disables ``PxIE`` so the guest never sees the VMM's completions.
 
 from __future__ import annotations
 
-from repro.sim import Signal
 from repro.storage import ahci
 from repro.storage.blockdev import BlockOp, BlockRequest, SectorBuffer
 from repro.storage.ide import CMD_READ_DMA_EXT, CMD_WRITE_DMA_EXT
@@ -21,32 +20,20 @@ from repro.vmm.mediator import (DeviceMediator, MediatorMode,
 
 @register_mediator("ahci")
 class AhciMediator(DeviceMediator):
-    """Mediator for the AHCI controller."""
+    """Mediator for the AHCI controller.  The blocked context is the
+    guest's command slot."""
 
     def __init__(self, env, machine, deployment):
         super().__init__(env, machine, deployment)
-        self.controller = machine.disk_controller
-        if self.controller.kind != "ahci":
-            raise TypeError("AhciMediator requires an AHCI controller")
-        self.irq_line = self.controller.irq_line
-        #: Every trapped ABAR access — the raw interpretation workload.
-        self._m_intercepts = self.telemetry.registry.counter(
-            "mediator_io_intercepts_total", controller="ahci")
         # Shadow port registers (interpretation).
         self.shadow_pxclb = 0
         self.shadow_pxie = 0
         self.shadow_pxcmd = 0
         self.shadow_pxci = 0
-        # Redirect bookkeeping.
-        self._blocked_slot: int | None = None
-        self._blocked_request: BlockRequest | None = None
-        self._unblocked = Signal(env)
         # Device-produced state captured at VMM takeover (an unacked
         # PxIS completion the guest is still owed).
         self._saved_pxis = 0
-        # The VMM's private command list + dummy transfer buffer.
-        self._dummy_buffer = SectorBuffer(0, 65536)
-        self._dummy_address = machine.hostmem.allocate(self._dummy_buffer)
+        # The VMM's private command list.
         self._vmm_command_list: list = [None] * ahci.COMMAND_SLOTS
         self._vmm_clb = machine.hostmem.allocate(self._vmm_command_list)
         self._vmm_table_address: int | None = None
@@ -121,10 +108,10 @@ class AhciMediator(DeviceMediator):
                 access.reply = self.shadow_pxclb
             elif offset == ahci.REG_PXIE:
                 access.reply = self.shadow_pxie
-        elif self._blocked_slot is not None:
+        elif self.blocked is not None:
             if offset == ahci.REG_PXCI:
                 real = self.controller.pxci
-                access.reply = real | (1 << self._blocked_slot)
+                access.reply = real | (1 << self.blocked)
             elif offset == ahci.REG_PXTFD:
                 access.reply = 0x50 | ahci.TFD_BSY
 
@@ -150,14 +137,6 @@ class AhciMediator(DeviceMediator):
             if not new_slots & (1 << slot):
                 continue
             request = self._decode_slot(slot)
-            if request is None:
-                # Non-data command: irrelevant to deployment, but it
-                # still cannot reach an owned device.
-                if owned:
-                    queue_mask |= (1 << slot)
-                else:
-                    pass_mask |= (1 << slot)
-                continue
             action = self.classify(request)
             if action == "pass":
                 pass_mask |= (1 << slot)
@@ -172,30 +151,8 @@ class AhciMediator(DeviceMediator):
             self.controller.mmio_write(
                 self.controller.abar + ahci.REG_PXCI, pass_mask)
         for slot, request, action in special:
-            yield from self._claim_blocked(slot, request)
-            try:
-                if action == "redirect":
-                    yield from self.redirect(request)
-                else:
-                    yield from self.protect_access(request)
-            finally:
-                self._release_blocked()
+            yield from self.serve_blocked(slot, request, action)
         yield self.env.timeout(0)
-
-    def _claim_blocked(self, slot: int, request: BlockRequest):
-        """Serialize redirect contexts: hooks are re-entrant across guest
-        processes (AHCI allows concurrent slots), but the engine serves
-        one blocked command at a time."""
-        yield from self.env.poll_until(
-            lambda: self._blocked_slot is None,
-            self.deployment.poll_interval, self._unblocked.event)
-        self._blocked_slot = slot
-        self._blocked_request = request
-
-    def _release_blocked(self) -> None:
-        self._blocked_slot = None
-        self._blocked_request = None
-        self._unblocked.notify()
 
     def _decode_slot(self, slot: int) -> BlockRequest | None:
         """I/O interpretation: walk the guest's command structures."""
@@ -213,7 +170,7 @@ class AhciMediator(DeviceMediator):
     # -- primitives used by the base engine ------------------------------------------------------
 
     def _guest_buffer(self) -> SectorBuffer:
-        table = self._slot_table(self._blocked_slot)
+        table = self._slot_table(self.blocked)
         return self.machine.hostmem.lookup(table.prdt[0])
 
     def _issue_to_device(self, request: BlockRequest,
@@ -274,10 +231,8 @@ class AhciMediator(DeviceMediator):
         """Rewrite the blocked slot's command table to a 1-sector dummy
         read, then let the HBA run it so the completion path (PxIS, CI
         clear, interrupt) is entirely genuine."""
-        slot = self._blocked_slot
+        slot = self.blocked
         table = self._slot_table(slot)
-        self._dummy_buffer.lba = self.deployment.dummy_lba
-        self._dummy_buffer.sector_count = 1
         table.cfis = ahci.CommandFis(CMD_READ_DMA_EXT,
                                      self.deployment.dummy_lba, 1)
         table.prdt = [self._dummy_address]
@@ -286,34 +241,18 @@ class AhciMediator(DeviceMediator):
         controller.mmio_write(controller.abar + ahci.REG_PXCI, 1 << slot)
 
     def _replay_guest_command(self, ci_value: int):
-        """Re-classify and reissue slots queued during VMM ownership."""
+        """Re-route and reissue slots queued during VMM ownership."""
         self.shadow_pxci &= ~ci_value
-        bitmap = self.deployment.bitmap
         forward_mask = 0
         for slot in range(ahci.COMMAND_SLOTS):
             if not ci_value & (1 << slot):
                 continue
             request = self._decode_slot(slot)
-            needs_protect = request is not None \
-                and self.deployment.overlaps_protected(
-                    request.lba, request.sector_count)
-            needs_redirect = (
-                request is not None
-                and request.op is BlockOp.READ
-                and request.lba < bitmap.image_sectors
-                and not bitmap.sectors_local(request.lba,
-                                             request.sector_count))
-            if needs_protect or needs_redirect:
-                yield from self._claim_blocked(slot, request)
-                try:
-                    if needs_redirect:
-                        yield from self.redirect(request)
-                    else:
-                        yield from self.protect_access(request)
-                finally:
-                    self._release_blocked()
-            else:
+            action = self.route(request)
+            if action == "pass":
                 forward_mask |= (1 << slot)
+            else:
+                yield from self.serve_blocked(slot, request, action)
         if forward_mask:
             yield from self._wait_device_idle()
             self.controller.mmio_write(

@@ -7,7 +7,6 @@ redirect / multiplex primitives on top of the raw controller registers.
 
 from __future__ import annotations
 
-from repro.sim import Signal
 from repro.storage import ide
 from repro.storage.blockdev import BlockOp, BlockRequest, SectorBuffer
 from repro.vmm.mediator import (DeviceMediator, MediatorMode,
@@ -34,36 +33,20 @@ def _copy_taskfile(source: ide.Taskfile) -> ide.Taskfile:
 
 @register_mediator("ide")
 class IdeMediator(DeviceMediator):
-    """Mediator for the IDE controller."""
-
-    irq_line = ide.IDE_IRQ
+    """Mediator for the IDE controller.  The blocked context is the
+    ``(request, action)`` of a guest command absorbed at the command
+    port: it is claimed there and served at its bus-master start."""
 
     def __init__(self, env, machine, deployment):
         super().__init__(env, machine, deployment)
-        self.controller = machine.disk_controller
-        if self.controller.kind != "ide":
-            raise TypeError("IdeMediator requires an IDE controller")
         # Shadow register state (interpretation).
         self.shadow_taskfile = ide.Taskfile()
         self.shadow_bm_prdt = 0
         self.shadow_bm_command = 0
-        # Redirect bookkeeping: command absorbed, waiting for BM start.
-        self._blocked: BlockRequest | None = None
-        self._blocked_kind: str | None = None
-        self._unblocked = Signal(env)
         # Device status captured at VMM takeover: the guest may still be
         # owed a completion (unacked IRQ bit); its ISR must see it.
         self._saved_status = ide.STATUS_DRDY
         self._saved_bm_status = 0
-        #: Every trapped PIO access, including taskfile programming —
-        #: the raw interpretation workload (paper Table 1's "I/O
-        #: interpretation" cost driver).
-        self._m_intercepts = self.telemetry.registry.counter(
-            "mediator_io_intercepts_total", controller="ide")
-        # A dummy buffer for restarted reads (1 sector is enough, but the
-        # VMM keeps a block-sized one for local overlay reads too).
-        self._dummy_buffer = SectorBuffer(0, 65536)
-        self._dummy_address = machine.hostmem.allocate(self._dummy_buffer)
         self._vmm_buffer_address: int | None = None
 
     # -- intercept installation -------------------------------------------------------
@@ -86,7 +69,12 @@ class IdeMediator(DeviceMediator):
         elif access.address == ide.REG_COMMAND:
             yield from self._on_guest_command(access, access.value)
         elif self._hook_write(access):
-            yield from self._launch_blocked()
+            # `blocked` stays set until the command is served, so status
+            # reads emulate a busy device for the whole service time.
+            try:
+                yield from self.serve(*self.blocked)
+            finally:
+                self._release_blocked()
             yield self.env.timeout(0)
 
     def _hook_write(self, access) -> bool:
@@ -111,7 +99,7 @@ class IdeMediator(DeviceMediator):
                 access.absorb = True
             elif value & ide.BM_CMD_START \
                     and not previous & ide.BM_CMD_START \
-                    and self._blocked is not None:
+                    and self.blocked is not None:
                 # The start of a blocked command: absorb and act.
                 access.absorb = True
                 return True
@@ -139,7 +127,7 @@ class IdeMediator(DeviceMediator):
             elif port == ide.BM_PRDT:
                 access.reply = self.shadow_bm_prdt
         elif (self.mode is MediatorMode.REDIRECTING
-                or self._blocked is not None):
+                or self.blocked is not None):
             # Emulate a busy device while the redirect is being served.
             if port == ide.REG_COMMAND:
                 access.reply = ide.STATUS_BSY | ide.STATUS_DRDY
@@ -149,54 +137,20 @@ class IdeMediator(DeviceMediator):
     # -- guest command handling -----------------------------------------------------------
 
     def _on_guest_command(self, access, command: int):
-        if command not in ide.DMA_COMMANDS:
-            # Non-data command (IDENTIFY, FLUSH...): irrelevant to
-            # deployment, but must still be queued while the VMM owns
-            # the device.
-            if self.mode is MediatorMode.VMM_OWNED:
-                access.absorb = True
-                self.queue_guest_command(_QueuedIdeCommand(
-                    _copy_taskfile(self.shadow_taskfile), command,
-                    self.shadow_bm_prdt, self.shadow_bm_command))
-            yield self.env.timeout(0)
-            return
-
-        request = ide.decode_request(self.shadow_taskfile, command)
+        request = ide.decode_request(self.shadow_taskfile, command) \
+            if command in ide.DMA_COMMANDS else None
         action = self.classify(request)
-
-        if action == "pass":
-            yield self.env.timeout(0)
-            return
-
-        access.absorb = True
         if action == "queue":
+            access.absorb = True
             self.queue_guest_command(_QueuedIdeCommand(
                 _copy_taskfile(self.shadow_taskfile), command,
                 self.shadow_bm_prdt, self.shadow_bm_command))
-        else:
+        elif action != "pass":
             # redirect / protect: block the command until BM start, then
-            # serve it ourselves.  (IDE is single-outstanding, but a
-            # replayed redirect can overlap a fresh hook: serialize.)
-            yield from self.env.poll_until(
-                lambda: self._blocked is None,
-                self.deployment.poll_interval, self._unblocked.event)
-            self._blocked = request
-            self._blocked_kind = action
+            # serve it ourselves.
+            access.absorb = True
+            yield from self._claim_blocked((request, action))
         yield self.env.timeout(0)
-
-    def _launch_blocked(self):
-        request = self._blocked
-        kind = self._blocked_kind
-        # `_blocked` stays set until the handler finishes so that status
-        # reads emulate a busy device for the whole service time.
-        handler = self.redirect if kind == "redirect" else \
-            self.protect_access
-        try:
-            yield from handler(request)
-        finally:
-            self._blocked = None
-            self._blocked_kind = None
-            self._unblocked.notify()
 
     # -- primitives used by the base engine -------------------------------------------------
 
@@ -262,8 +216,6 @@ class IdeMediator(DeviceMediator):
         """Restart the blocked read as a 1-sector dummy that hits the
         drive cache, so the device itself raises the completion IRQ."""
         controller = self.controller
-        self._dummy_buffer.lba = self.deployment.dummy_lba
-        self._dummy_buffer.sector_count = 1
         taskfile = ide.Taskfile()
         taskfile.load(self.deployment.dummy_lba, 1, ext=False)
         for port, value in taskfile.current.items():
@@ -276,24 +228,17 @@ class IdeMediator(DeviceMediator):
                              ide.BM_CMD_WRITE_TO_MEMORY | ide.BM_CMD_START)
 
     def _replay_guest_command(self, snapshot: _QueuedIdeCommand):
-        # Re-classify: a read queued during VMM ownership may target
-        # still-empty blocks and must be redirected, not forwarded.
+        # Re-route: a read queued during VMM ownership may target
+        # still-empty blocks and must be redirected, not forwarded.  Its
+        # bus-master start was absorbed with it, so it is served at
+        # once, without taking the blocked context.
         if snapshot.command in ide.DMA_COMMANDS:
             request = ide.decode_request(snapshot.taskfile,
                                          snapshot.command)
             self.shadow_bm_prdt = snapshot.bm_prdt
-            bitmap = self.deployment.bitmap
-            needs_redirect = (
-                request.op is BlockOp.READ
-                and request.lba < bitmap.image_sectors
-                and not bitmap.sectors_local(request.lba,
-                                             request.sector_count))
-            if self.deployment.overlaps_protected(request.lba,
-                                                  request.sector_count):
-                yield from self.protect_access(request)
-                return
-            if needs_redirect:
-                yield from self.redirect(request)
+            action = self.route(request)
+            if action != "pass":
+                yield from self.serve(request, action)
                 return
         yield from self._wait_device_idle()
         controller = self.controller

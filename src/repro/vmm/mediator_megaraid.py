@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from itertools import count
 
-from repro.sim import Signal
 from repro.storage import megaraid
 from repro.storage.blockdev import BlockOp, BlockRequest, SectorBuffer
 from repro.vmm.mediator import (DeviceMediator, MediatorMode,
@@ -27,26 +26,13 @@ VMM_CONTEXT_BASE = 1 << 30
 
 @register_mediator("megaraid")
 class MegaRaidMediator(DeviceMediator):
-    """Mediator for the MegaRAID-style controller."""
+    """Mediator for the MegaRAID-style controller.  The blocked context
+    is the host address of the guest's absorbed frame."""
 
     def __init__(self, env, machine, deployment):
         super().__init__(env, machine, deployment)
-        self.controller = machine.disk_controller
-        if self.controller.kind != "megaraid":
-            raise TypeError(
-                "MegaRaidMediator requires a MegaRAID controller")
-        self.irq_line = self.controller.irq_line
-        #: Every trapped MFI-window access — the interpretation workload.
-        self._m_intercepts = self.telemetry.registry.counter(
-            "mediator_io_intercepts_total", controller="megaraid")
         self._vmm_contexts = count(VMM_CONTEXT_BASE)
         self._vmm_context_inflight: int | None = None
-        # Redirect bookkeeping: the blocked frame (absorbed post).
-        self._blocked_frame: megaraid.MfiFrame | None = None
-        self._blocked_address: int | None = None
-        self._unblocked = Signal(env)
-        self._dummy_buffer = SectorBuffer(0, 65536)
-        self._dummy_address = machine.hostmem.allocate(self._dummy_buffer)
         self._vmm_frame_address: int | None = None
         self._vmm_buffer_address: int | None = None
 
@@ -91,7 +77,7 @@ class MegaRaidMediator(DeviceMediator):
             elif offset == megaraid.REG_OUTBOUND_REPLY:
                 access.reply = self._pop_guest_reply()
                 access.absorb = True
-        elif self._blocked_frame is not None:
+        elif self.blocked is not None:
             if offset == megaraid.REG_STATUS:
                 access.reply = megaraid.STATUS_BUSY
             elif offset == megaraid.REG_OUTBOUND_REPLY:
@@ -113,53 +99,26 @@ class MegaRaidMediator(DeviceMediator):
     # -- guest command handling --------------------------------------------------------------
 
     def _on_guest_post(self, access, frame_address: int):
-        frame = self.machine.hostmem.lookup(frame_address)
-        request = megaraid.decode_frame(frame)
-        if request is None:
-            # Flush etc.: only queue while the VMM owns the firmware.
-            if self.mode is MediatorMode.VMM_OWNED:
-                access.absorb = True
-                self.queue_guest_command(frame_address)
-            yield self.env.timeout(0)
-            return
+        request = megaraid.decode_frame(
+            self.machine.hostmem.lookup(frame_address))
         action = self.classify(request)
         if action == "pass":
             yield self.env.timeout(0)
-            return
-        access.absorb = True
-        if action == "queue":
+        elif action == "queue":
+            access.absorb = True
             self.queue_guest_command(frame_address)
             yield self.env.timeout(0)
-            return
-        # redirect / protect: the message-passing interface needs no
-        # separate start doorbell — serve immediately.
-        yield from self._claim_blocked(frame, frame_address)
-        try:
-            if action == "redirect":
-                yield from self.redirect(request)
-            else:
-                yield from self.protect_access(request)
-        finally:
-            self._release_blocked()
-
-    def _claim_blocked(self, frame, frame_address: int):
-        """Serialize redirect contexts across re-entrant hook calls."""
-        yield from self.env.poll_until(
-            lambda: self._blocked_frame is None,
-            self.deployment.poll_interval, self._unblocked.event)
-        self._blocked_frame = frame
-        self._blocked_address = frame_address
-
-    def _release_blocked(self) -> None:
-        self._blocked_frame = None
-        self._blocked_address = None
-        self._unblocked.notify()
+        else:
+            # redirect / protect: the message-passing interface needs no
+            # separate start doorbell — serve immediately.
+            access.absorb = True
+            yield from self.serve_blocked(frame_address, request, action)
 
     # -- primitives used by the base engine ------------------------------------------------------
 
     def _guest_buffer(self) -> SectorBuffer:
-        return self.machine.hostmem.lookup(
-            self._blocked_frame.buffer_address)
+        hostmem = self.machine.hostmem
+        return hostmem.lookup(hostmem.lookup(self.blocked).buffer_address)
 
     def _issue_to_device(self, request: BlockRequest,
                          buffer: SectorBuffer) -> None:
@@ -221,40 +180,22 @@ class MegaRaidMediator(DeviceMediator):
     def _deliver_dummy_completion(self) -> None:
         """Rewrite the blocked frame to a 1-sector dummy read and post
         it, so the firmware completes it with the guest's own context."""
-        frame = self._blocked_frame
-        self._dummy_buffer.lba = self.deployment.dummy_lba
-        self._dummy_buffer.sector_count = 1
+        frame = self.machine.hostmem.lookup(self.blocked)
         frame.command = "read"
         frame.lba = self.deployment.dummy_lba
         frame.sector_count = 1
         frame.buffer_address = self._dummy_address
         self.controller.mmio_write(
             self.controller.mmio_base + megaraid.REG_INBOUND_QUEUE,
-            self._blocked_address)
+            self.blocked)
 
     def _replay_guest_command(self, frame_address: int):
-        frame = self.machine.hostmem.lookup(frame_address)
-        request = megaraid.decode_frame(frame)
-        if request is not None:
-            bitmap = self.deployment.bitmap
-            if self.deployment.overlaps_protected(request.lba,
-                                                  request.sector_count):
-                yield from self._claim_blocked(frame, frame_address)
-                try:
-                    yield from self.protect_access(request)
-                finally:
-                    self._release_blocked()
-                return
-            if (request.op is BlockOp.READ
-                    and request.lba < bitmap.image_sectors
-                    and not bitmap.sectors_local(request.lba,
-                                                 request.sector_count)):
-                yield from self._claim_blocked(frame, frame_address)
-                try:
-                    yield from self.redirect(request)
-                finally:
-                    self._release_blocked()
-                return
+        request = megaraid.decode_frame(
+            self.machine.hostmem.lookup(frame_address))
+        action = self.route(request)
+        if action != "pass":
+            yield from self.serve_blocked(frame_address, request, action)
+            return
         yield from self._wait_device_idle()
         self.controller.mmio_write(
             self.controller.mmio_base + megaraid.REG_INBOUND_QUEUE,
